@@ -5,7 +5,8 @@
 //! loadgen [--addr HOST:PORT] [--groups 8] [--queries 13] [--users 2]
 //!         [--keysize 128] [--k 2] [--d 3] [--delta 6] [--opt] [--seed 7]
 //!         [--sanitize] [--bench-json PATH] [--require-stages a,b,c]
-//!         [--moving] [--ticks 12]
+//!         [--moving | --crash [--server-bin PATH] [--data-dir PATH]]
+//!         [--ticks 12]
 //!         [--chaos-seed S] [--chaos-delay-prob P] [--chaos-delay-ms MS]
 //!         [--chaos-corrupt-prob P] [--chaos-truncate-prob P]
 //!         [--chaos-sever-prob P]
@@ -41,22 +42,23 @@
 //! tracing was requested but no trace was kept — the CI trace-smoke
 //! gate.
 //!
-//! Moving groups: `--moving` switches to the live-world soak — groups
-//! on seeded drifting trajectories hold standing queries (`Subscribe`)
-//! against an in-process *dynamic* server while an admin lane churns
-//! the POI index. It reports notifications/sec, invalidation precision
-//! vs the plaintext oracle, and re-query savings vs naive per-tick
-//! re-issue, and exits 1 on any missed invalidation or savings under
-//! 2x — the CI moving-smoke gate. `--seed` and `--ticks` shape the
-//! run; `--require-stages index-mutate,invalidate-scan,fanout-notify`
-//! additionally gates on the live-world pipeline stages.
-//!
-//! Crash chaos: `--crash` runs the kill-mid-soak harness instead — a
-//! child `ppgnn-server` on a durable `--data-dir` is SIGKILLed at
-//! seeded ticks and restarted, and the run exits 1 unless recovery is
-//! perfect (see `ppgnn_server::crash`). `--require-stages
-//! wal-append,recover-replay` gates on the durability pipeline stages,
-//! fetched from the child over the wire — the CI crash-smoke gate.
+//! Moving-world soak: `--moving` and `--crash` switch to the soak of
+//! `ppgnn_server::soak` — groups on seeded drifting trajectories hold
+//! standing queries (`Subscribe`) while an admin lane churns the POI
+//! index, and every re-plan and every silence is checked against a
+//! plaintext oracle. `--moving` runs it against an in-process dynamic
+//! server; `--crash` against a child `ppgnn-server` (`--server-bin`,
+//! default: the one next to this binary) on a durable `--data-dir`
+//! (default: a per-process temp dir; it must hold no checkpoint or WAL
+//! yet), SIGKILLed and restarted at fixed ticks, with each
+//! incarnation's stderr appended to `<data-dir>/recovery.log`. The run
+//! exits 1 on any missed invalidation, wrong answer, version-chain
+//! break, non-idempotent redelivery, unnoticed restart, re-query
+//! savings under 2x, or missing durability stage — the CI soak-smoke
+//! gate. `--seed` and `--ticks` shape the run; `--require-stages`
+//! additionally gates on the final server's stages, fetched over the
+//! wire (`index-mutate,invalidate-scan,fanout-notify` for the live
+//! world, `wal-append,recover-replay` for durability).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,11 +66,11 @@ use std::time::{Duration, Instant};
 use ppgnn_core::{Lsp, PpgnnConfig, Variant};
 use ppgnn_geo::{Poi, Point, Rect};
 use ppgnn_server::frame::DEFAULT_MAX_PAYLOAD;
+use ppgnn_server::soak::KILL_AT_TICKS;
 use ppgnn_server::{
-    run_crash_soak, run_moving_soak, serve_world, sessionless_exchange, summarize, ClientStats,
-    CrashSoakConfig, FaultConfig, FrameType, GroupClient, LatencySummary, MovingSoakConfig,
-    PongPayload, ServerConfig, ServerError, SloConfig, StatsReplyPayload, TelemetrySnapshot,
-    TraceReplyPayload,
+    run_soak, serve_world, sessionless_exchange, summarize, ClientStats, FaultConfig, FrameType,
+    GroupClient, LatencySummary, PongPayload, ServerConfig, ServerError, SloConfig, SoakConfig,
+    SoakServer, StatsReplyPayload, TelemetrySnapshot, TraceReplyPayload,
 };
 use ppgnn_telemetry::json;
 use ppgnn_telemetry::trace::{self, TracerConfig};
@@ -81,7 +83,7 @@ struct Args {
     crash: bool,
     server_bin: Option<String>,
     data_dir: Option<String>,
-    ticks: usize,
+    ticks: Option<usize>,
     groups: usize,
     queries: usize,
     users: usize,
@@ -113,7 +115,7 @@ fn parse_args() -> Result<Args, String> {
         crash: false,
         server_bin: None,
         data_dir: None,
-        ticks: 12,
+        ticks: None,
         groups: 8,
         queries: 13,
         users: 2,
@@ -147,7 +149,7 @@ fn parse_args() -> Result<Args, String> {
             "--crash" => args.crash = true,
             "--server-bin" => args.server_bin = Some(value("--server-bin")?),
             "--data-dir" => args.data_dir = Some(value("--data-dir")?),
-            "--ticks" => args.ticks = parse(&value("--ticks")?)?,
+            "--ticks" => args.ticks = Some(parse(&value("--ticks")?)?),
             "--groups" => args.groups = parse(&value("--groups")?)?,
             "--queries" => args.queries = parse(&value("--queries")?)?,
             "--users" => args.users = parse(&value("--users")?)?,
@@ -196,8 +198,8 @@ fn parse_args() -> Result<Args, String> {
                     "usage: loadgen [--addr HOST:PORT] [--groups N] [--queries M] \
                      [--users U] [--keysize B] [--k K] [--d D] [--delta DELTA] \
                      [--pois P] [--opt] [--sanitize] [--seed S] \
-                     [--moving] [--ticks T] \
-                     [--crash] [--server-bin PATH] [--data-dir PATH] \
+                     [--moving | --crash [--server-bin PATH] [--data-dir PATH]] \
+                     [--ticks T] \
                      [--bench-json PATH] [--require-stages a,b,c] \
                      [--trace-out PATH] [--trace-slow-us US] \
                      [--trace-sample-permille P] \
@@ -223,6 +225,12 @@ fn parse_args() -> Result<Args, String> {
     if args.crash && args.moving {
         return Err("--crash and --moving are distinct modes; pick one".into());
     }
+    if !args.crash && (args.server_bin.is_some() || args.data_dir.is_some()) {
+        return Err("--server-bin and --data-dir belong to the --crash lane".into());
+    }
+    if !(args.moving || args.crash) && args.ticks.is_some() {
+        return Err("--ticks needs a soak lane (--moving or --crash)".into());
+    }
     Ok(args)
 }
 
@@ -246,11 +254,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.moving {
-        run_moving(&args);
-    }
-    if args.crash {
-        run_crash(&args);
+    if args.moving || args.crash {
+        soak(&args);
     }
     if args.trace_out.is_some() {
         // Arm the collector before any client exists so the very first
@@ -518,11 +523,7 @@ fn main() {
     }
     let mut gate_failed = false;
     if let Some(required) = &args.require_stages {
-        let names: Vec<&str> = required
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
+        let names = stage_list(required);
         let missing = snapshot.missing_stages(&names);
         if missing.is_empty() {
             println!("required stages all recorded: {}", names.join(", "));
@@ -623,36 +624,81 @@ fn main() {
     }
 }
 
-/// The `--moving` mode: drives the moving-group soak — seeded drifting
-/// trajectories plus POI churn against an in-process dynamic server —
-/// and reports notifications/sec, invalidation precision against the
-/// plaintext oracle, and re-query savings vs naive per-tick re-issue.
-/// The world shape comes from [`MovingSoakConfig::default`] (tuned so
-/// sentinel margins outlive a realistic walking pace); `--seed` and
-/// `--ticks` vary the run. Exits 1 on any missed invalidation, any
-/// oracle mismatch, or savings under 2x.
-fn run_moving(args: &Args) -> ! {
-    let mut config = MovingSoakConfig::default();
+/// The `--moving` and `--crash` modes: one run of the moving-world
+/// soak (`ppgnn_server::soak`), against an in-process dynamic server or
+/// against a child `ppgnn-server` on a durable data dir that is
+/// SIGKILLed and restarted at fixed ticks. The world is
+/// [`SoakConfig::default`]'s (tuned so sentinel margins outlive a
+/// realistic walking pace); `--seed` and `--ticks` vary the run. Prints
+/// one line per `--require-stages` stage from the final server's
+/// snapshot and exits 1 unless the report passed and every required
+/// stage recorded.
+fn soak(args: &Args) -> ! {
+    let server = if args.crash {
+        let server_bin = match &args.server_bin {
+            Some(p) => std::path::PathBuf::from(p),
+            None => {
+                let sibling = std::env::current_exe()
+                    .ok()
+                    .and_then(|p| p.parent().map(|d| d.join("ppgnn-server")));
+                match sibling {
+                    Some(p) if p.exists() => p,
+                    _ => {
+                        eprintln!(
+                            "loadgen: cannot find ppgnn-server next to this binary; pass --server-bin"
+                        );
+                        std::process::exit(2);
+                    }
+                }
+            }
+        };
+        let data_dir = match &args.data_dir {
+            Some(p) => std::path::PathBuf::from(p),
+            None => std::env::temp_dir().join(format!("ppgnn-crash-{}", std::process::id())),
+        };
+        SoakServer::Child {
+            server_bin,
+            data_dir,
+        }
+    } else {
+        SoakServer::InProcess
+    };
+    let mut config = SoakConfig {
+        server,
+        ..SoakConfig::default()
+    };
     config.world.seed = args.seed;
-    config.ticks = args.ticks;
+    config.ticks = args.ticks.unwrap_or(config.ticks);
+    let lane = match &config.server {
+        SoakServer::InProcess => "an in-process server".to_string(),
+        SoakServer::Child { data_dir, .. } => format!(
+            "a child server killed after ticks {:?}, data dir {}",
+            KILL_AT_TICKS,
+            data_dir.display()
+        ),
+    };
     println!(
-        "loadgen: moving-group soak, seed {} ({} groups x {} ticks, {} POIs)",
+        "loadgen: moving-world soak, seed {} ({} groups x {} ticks, {} POIs) on {lane}",
         args.seed, config.world.n_groups, config.ticks, config.world.initial_pois
     );
-    let report = match run_moving_soak(&config) {
+    let report = match run_soak(&config) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("loadgen: moving soak transport failed: {e}");
+            eprintln!("loadgen: soak failed before the verdict: {e}");
             std::process::exit(1);
         }
     };
     println!("{}", report.render());
 
-    // The soak's server is in-process, so the shared registry already
-    // holds the live-world stages this mode exists to exercise.
-    let snapshot = ppgnn_telemetry::global().snapshot();
-    for name in ["index-mutate", "invalidate-scan", "fanout-notify"] {
-        match snapshot
+    let mut gate_failed = false;
+    for name in args
+        .require_stages
+        .as_deref()
+        .map(stage_list)
+        .unwrap_or_default()
+    {
+        match report
+            .stats
             .stages
             .iter()
             .find(|s| s.name == name && s.count > 0)
@@ -661,32 +707,11 @@ fn run_moving(args: &Args) -> ! {
                 "stage {:>16}: count={} p50={}us p95={}us max={}us",
                 s.name, s.count, s.p50_us, s.p95_us, s.max_us
             ),
-            None => println!("stage {name:>16}: never recorded"),
+            None => {
+                eprintln!("stage {name:>16}: never recorded");
+                gate_failed = true;
+            }
         }
-    }
-    let mut gate_failed = false;
-    if let Some(required) = &args.require_stages {
-        let names: Vec<&str> = required
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let missing = snapshot.missing_stages(&names);
-        if missing.is_empty() {
-            println!("required stages all recorded: {}", names.join(", "));
-        } else {
-            eprintln!(
-                "loadgen: required stage metrics missing or zero: {}",
-                missing.join(", ")
-            );
-            gate_failed = true;
-        }
-    }
-    if report.missed_invalidations > 0 {
-        eprintln!(
-            "loadgen: {} missed invalidation(s) — the server stayed silent while an answer changed",
-            report.missed_invalidations
-        );
     }
     if !report.passed() || gate_failed {
         std::process::exit(1);
@@ -694,74 +719,12 @@ fn run_moving(args: &Args) -> ! {
     std::process::exit(0);
 }
 
-/// The `--crash` mode: the kill-mid-soak chaos harness — spawns a
-/// child `ppgnn-server` on a durable data dir, SIGKILLs it at seeded
-/// ticks mid-soak, restarts it, and verifies zero wrong answers, zero
-/// missed invalidations, an unbroken version chain, and idempotent
-/// redelivery against the parent's plaintext oracle. `--server-bin`
-/// names the victim binary (default: `ppgnn-server` next to this
-/// executable); `--data-dir` the durable directory (default: a
-/// per-process temp dir); the child's recovery log lands at
-/// `<data-dir>/recovery.log` for CI artifact upload. Exits 1 on any
-/// correctness deviation or missing required stage.
-fn run_crash(args: &Args) -> ! {
-    let server_bin = match &args.server_bin {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let sibling = std::env::current_exe()
-                .ok()
-                .and_then(|p| p.parent().map(|d| d.join("ppgnn-server")));
-            match sibling {
-                Some(p) if p.exists() => p,
-                _ => {
-                    eprintln!(
-                        "loadgen: cannot find ppgnn-server next to this binary; pass --server-bin"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
-    let data_dir = match &args.data_dir {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::env::temp_dir().join(format!("ppgnn-crash-{}", std::process::id())),
-    };
-    let mut config = CrashSoakConfig::new(server_bin, &data_dir);
-    config.world.seed = args.seed;
-    config.ticks = args.ticks;
-    config.recovery_log = Some(data_dir.join("recovery.log"));
-    if let Some(required) = &args.require_stages {
-        config.extra_required_stages = required
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect();
-    }
-    println!(
-        "loadgen: crash soak, seed {} ({} groups x {} ticks, kills at {:?}, fsync={}, data dir {})",
-        args.seed,
-        config.world.n_groups,
-        config.ticks,
-        config.kill_at_ticks,
-        config.fsync.name(),
-        data_dir.display(),
-    );
-    let report = match run_crash_soak(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("loadgen: crash soak failed before the verdict: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", report.render());
-    if !report.missing_stages.is_empty() {
-        eprintln!(
-            "loadgen: required stage metrics missing or zero: {}",
-            report.missing_stages.join(", ")
-        );
-    }
-    std::process::exit(if report.passed() { 0 } else { 1 });
+/// The stage names of a `--require-stages a,b,c` list.
+fn stage_list(list: &str) -> Vec<&str> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 /// One sessionless exchange with a remote server on a fresh connection

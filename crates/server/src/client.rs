@@ -249,9 +249,10 @@ fn classify(e: &ServerError) -> Recovery {
             | ErrorCode::Protocol
             | ErrorCode::Violation => (false, None, false, false),
         },
-        ServerError::Protocol(_) | ServerError::Violation(_) | ServerError::Recovery(_) => {
-            (false, None, false, false)
-        }
+        ServerError::Protocol(_)
+        | ServerError::Violation(_)
+        | ServerError::Recovery(_)
+        | ServerError::StaleDataDir(_) => (false, None, false, false),
     };
     Recovery {
         retryable,

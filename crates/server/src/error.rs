@@ -121,6 +121,10 @@ pub enum ServerError {
     /// crashed-and-corrupted server fails loudly at boot instead of
     /// silently serving stale state.
     Recovery(String),
+    /// A soak's data dir already holds a checkpoint or WAL. The soak
+    /// bootstraps its own world there; booting on an earlier run's
+    /// state would check the server against the wrong oracle.
+    StaleDataDir(std::path::PathBuf),
 }
 
 impl fmt::Display for ServerError {
@@ -153,6 +157,11 @@ impl fmt::Display for ServerError {
                 write!(f, "expected {expected} frame, got {got:?}")
             }
             ServerError::Recovery(what) => write!(f, "recovery failed: {what}"),
+            ServerError::StaleDataDir(dir) => write!(
+                f,
+                "data dir {} already holds a checkpoint or WAL; give the soak an empty or missing dir",
+                dir.display()
+            ),
         }
     }
 }

@@ -29,9 +29,10 @@
 //!   `observer` binary: records (size, latency) distributions across
 //!   known-different workloads and runs a permutation
 //!   Kolmogorov–Smirnov distinguishability test against them;
-//! * [`crash`] — the kill-mid-soak chaos harness: SIGKILLs a child
-//!   `ppgnn-server` at seeded points and proves recovery against a
-//!   plaintext oracle;
+//! * [`soak`] — the moving-world soak: standing queries over a churning
+//!   world, checked against a plaintext oracle, on an in-process server
+//!   or on a child `ppgnn-server` it SIGKILLs and restarts at fixed
+//!   ticks;
 //! * [`wal`] — crash durability for the live world: a CRC-framed
 //!   write-ahead log of admitted `PoiOp` batches, atomic checkpoints,
 //!   and torn-tail-tolerant recovery replay;
@@ -65,17 +66,16 @@
 
 pub mod backoff;
 pub mod client;
-pub mod crash;
 pub mod error;
 pub mod fault;
 pub mod frame;
 pub mod mallory;
 pub mod metrics;
-pub mod moving;
 pub mod observer;
 pub mod registry;
 pub mod server;
 pub mod shape;
+pub mod soak;
 pub mod subscription;
 pub mod validate;
 pub mod wal;
@@ -85,7 +85,6 @@ pub use client::{
     session_params_for, sessionless_exchange, ClientStats, GroupClient, SafeRegionToken,
     WireObservation,
 };
-pub use crash::{run_crash_soak, CrashSoakConfig, CrashSoakReport};
 pub use error::{ErrorCode, ServerError};
 pub use fault::{FaultAction, FaultConfig, FaultPlan, FaultyStream, Transport};
 pub use frame::{
@@ -94,7 +93,6 @@ pub use frame::{
 };
 pub use mallory::{Attack, AttackContext, MalloryOutcome, MalloryReport, ATTACK_CATALOG};
 pub use metrics::{percentile, summarize, LatencySummary, SloConfig};
-pub use moving::{run_moving_soak, MovingSoakConfig, MovingSoakReport};
 pub use observer::{run_observer, ChannelVerdict, ObserverConfig, ObserverReport, ScenarioResult};
 pub use ppgnn_telemetry::{HealthSnapshot, StageSnapshot, TelemetrySnapshot};
 pub use registry::{
@@ -105,6 +103,7 @@ pub use server::{
     StatsProbe, World, WorldSeed,
 };
 pub use shape::{Lane, ShapeMode, ShapePolicy};
+pub use soak::{run_soak, SoakConfig, SoakReport, SoakServer};
 pub use subscription::{
     compute_regions, CandidateRegion, SafeRegionSummary, Subscription, SubscriptionRegistry,
 };

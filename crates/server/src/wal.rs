@@ -62,8 +62,8 @@
 //! total fallback, not a disguised assertion: "newest batch version"
 //! falls back to the checkpoint version when the tail is empty
 //! ([`Recovered::recovered_version`], rotation orphan scan), the
-//! fresh-boot probe treats an unreadable dir as "no checkpoint"
-//! ([`has_checkpoint`]), append targets the base version itself when
+//! stale-state probe treats an unreadable dir as "no state"
+//! ([`holds_state`]), append targets the base version itself when
 //! no rotated file precedes it, and checkpoint retention keeps
 //! everything when fewer than the keep-count exist. Bare
 //! `unwrap`/`expect` appears only under `#[cfg(test)]`.
@@ -494,11 +494,12 @@ pub fn bootstrap(dir: &Path, pois: &[Poi]) -> io::Result<()> {
     Ok(())
 }
 
-/// Whether `dir` holds any checkpoint at all (fresh-boot probe).
-pub fn has_checkpoint(dir: &Path) -> bool {
-    list_versions(dir, "checkpoint", "ppck")
-        .map(|v| !v.is_empty())
-        .unwrap_or(false)
+/// Whether `dir` holds any checkpoint or WAL file: durable state a
+/// server booting on `dir` would recover instead of a fresh world.
+pub fn holds_state(dir: &Path) -> bool {
+    [("checkpoint", "ppck"), ("wal", "ppwal")]
+        .iter()
+        .any(|(stem, ext)| list_versions(dir, stem, ext).is_ok_and(|v| !v.is_empty()))
 }
 
 /// Recovers the world from `dir`: newest valid checkpoint plus the
@@ -905,7 +906,11 @@ mod tests {
     fn empty_dir_recovers_to_none() {
         let dir = tmp_dir("empty");
         assert!(recover(&dir).unwrap().is_none());
-        assert!(!has_checkpoint(&dir));
+        assert!(!holds_state(&dir));
+        // A WAL alone is state too: a server booting here would not
+        // start from a fresh world.
+        drop(Wal::open(&dir, 1, FsyncPolicy::Never).unwrap());
+        assert!(holds_state(&dir));
         let _ = fs::remove_dir_all(&dir);
     }
 

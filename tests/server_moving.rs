@@ -1,13 +1,15 @@
 //! Moving-group soak: continuous queries over a live, mutating world,
-//! oracle-checked against a plaintext mirror.
+//! oracle-checked against a plaintext mirror, on the in-process lane of
+//! `ppgnn_server::soak`.
 //!
-//! The hard guarantees under test, per ISSUE acceptance:
+//! The hard guarantees under test:
 //! * **zero missed invalidations** — whenever the plaintext top-k of a
 //!   subscribed group changes, the server must have pushed a re-plan
 //!   notification *before* the harness audits the tick;
 //! * **re-query savings ≥ 2×** — standing queries with safe regions
 //!   must beat naive per-tick re-issue by at least 2×;
-//! * every re-planned answer matches the plaintext oracle exactly.
+//! * every re-planned answer matches the plaintext oracle exactly;
+//! * an unbroken version chain: v1 at boot, one version per batch.
 //!
 //! Spurious invalidations (a push whose re-plan returns the same
 //! answer) are the designed-in price of conservative regions; they are
@@ -19,17 +21,31 @@ use std::time::Duration;
 
 use ppgnn::geo::PoiOp;
 use ppgnn::prelude::*;
-use ppgnn::server::{
-    run_moving_soak, serve_world, ErrorCode, MovingSoakConfig, ServerError, SubscriptionKind,
-};
+use ppgnn::server::{run_soak, serve_world, ErrorCode, ServerError, SoakConfig, SubscriptionKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn check(seed: u64) {
-    let mut config = MovingSoakConfig::default();
+    let mut config = SoakConfig::default();
     config.world.seed = seed;
-    let report = run_moving_soak(&config).expect("soak transport failed");
+    let report = run_soak(&config).expect("soak transport failed");
     eprintln!("seed {seed}:\n{}", report.render());
+    assert_eq!(
+        (report.kills, report.restart_requeries),
+        (0, 0),
+        "seed {seed}: the in-process lane never kills its server"
+    );
+    assert_eq!(
+        report.version_breaks, 0,
+        "seed {seed}: an ack broke the previous + 1 version chain"
+    );
+    // v1 at boot, one version per tick's batch, one for the closing
+    // empty batch.
+    assert_eq!(
+        report.final_version,
+        config.ticks as u64 + 2,
+        "seed {seed}: the chain must end at ticks + 2"
+    );
     assert_eq!(
         report.missed_invalidations, 0,
         "seed {seed}: the server stayed silent while a subscribed answer changed"
@@ -56,7 +72,7 @@ fn check(seed: u64) {
     assert!(report.passed(), "seed {seed}: report gate failed");
 }
 
-/// First pinned seed — also the CI moving-smoke seed.
+/// First pinned seed — also a CI soak-smoke seed.
 #[test]
 fn moving_soak_seed_7() {
     check(7);
