@@ -150,9 +150,8 @@ impl DynamicLsp {
     /// that altered the live POI set. The batch is atomic from the
     /// readers' perspective: no query ever sees part of it.
     pub fn apply(&self, ops: &[PoiOp]) -> (usize, u64) {
-        let span = telemetry::trace::span(telemetry::trace::SpanName::IndexMutate);
-        span.attr(telemetry::trace::AttrKey::PoiOps, ops.len() as u64);
-        let _timer = telemetry::global().time(telemetry::Stage::IndexMutate);
+        let mutate = telemetry::enter(telemetry::Layer::IndexMutate);
+        mutate.attr(telemetry::trace::AttrKey::PoiOps, ops.len() as u64);
         let mut master = self.master.lock().unwrap_or_else(|p| p.into_inner());
         let changed = master.apply(ops);
         let lsp = publish(

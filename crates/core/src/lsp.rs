@@ -187,13 +187,12 @@ impl Lsp {
         let sanitizer = Sanitizer::new(query.theta0, &self.config.hypothesis, self.space);
         let codec = AnswerCodec::new(query.pk.key_bits(), 1, query.k);
         let sanitize = self.config.sanitize && n > 1;
-        let eval_span = telemetry::trace::span(telemetry::trace::SpanName::CandidateEval);
-        eval_span.attr(
+        let eval = telemetry::enter(telemetry::Layer::CandidateEval);
+        eval.attr(
             telemetry::trace::AttrKey::Candidates,
             candidates.len() as u64,
         );
-        eval_span.attr(telemetry::trace::AttrKey::Users, n as u64);
-        let eval_timer = telemetry::global().time(telemetry::Stage::CandidateEval);
+        eval.attr(telemetry::trace::AttrKey::Users, n as u64);
         telemetry::global().incr_by(telemetry::Op::CandidatesEvaluated, candidates.len() as u64);
         let mut columns: Vec<Vec<BigUint>>;
         if self.parallelism <= 1 || candidates.len() < 2 {
@@ -260,13 +259,11 @@ impl Lsp {
             ledger.count("sanitation_removed", removed_total);
         }
 
-        drop(eval_timer);
-        drop(eval_span);
+        drop(eval);
 
         // Private selection (Theorem 3.1 / §6 two-phase).
-        let select_span = telemetry::trace::span(telemetry::trace::SpanName::PrivateSelection);
-        select_span.attr(telemetry::trace::AttrKey::SetLen, columns.len() as u64);
-        let _select_timer = telemetry::global().time(telemetry::Stage::PrivateSelection);
+        let select = telemetry::enter(telemetry::Layer::PrivateSelection);
+        select.attr(telemetry::trace::AttrKey::SetLen, columns.len() as u64);
         let ctx1 = DjContext::new(&query.pk, 1);
         let opts = self.select_options();
         match &query.indicator {

@@ -212,9 +212,8 @@ pub fn plan_query_with<R: Rng + ?Sized>(
 ) -> Result<QueryPlan, PpgnnError> {
     let n = real_locations.len();
     config.validate(n)?;
-    let plan_span = telemetry::trace::span(telemetry::trace::SpanName::ClientPlan);
-    plan_span.attr(telemetry::trace::AttrKey::Users, n as u64);
-    let _plan_timer = telemetry::global().time(telemetry::Stage::ClientPlan);
+    let plan = telemetry::enter(telemetry::Layer::ClientPlan);
+    plan.attr(telemetry::trace::AttrKey::Users, n as u64);
 
     // ---- Coordinator: partition parameters, positions, query index ----
     let coordinator_plan = ledger.time(Party::Coordinator, || -> Result<_, PpgnnError> {
@@ -382,6 +381,9 @@ pub fn decode_answer(
             let ctx2 = DjContext::new(pk, 2);
             let dec1 = Decryptor::new(&ctx1, sk);
             let dec2 = Decryptor::new(&ctx2, sk);
+            // Both decryption levels of the answer are one batch.
+            let batch = telemetry::enter(telemetry::Layer::PaillierDecrypt);
+            batch.attr(telemetry::trace::AttrKey::Ciphertexts, enc.len() as u64);
             let inner_values: Vec<_> = enc
                 .elements()
                 .iter()
@@ -390,6 +392,7 @@ pub fn decode_answer(
                     dec1.decrypt(&ctx1, &Ciphertext::from_parts(inner, 1))
                 })
                 .collect();
+            drop(batch);
             codec.decode(&inner_values)
         }
     })
@@ -546,6 +549,39 @@ mod tests {
         let users = vec![Point::new(0.8, 0.8), Point::new(0.6, 0.9)];
         let run = run_ppgnn(&lsp, &users, &mut rng).unwrap();
         check_answer_correct(&run, &lsp, &users);
+    }
+
+    /// The Paillier layers sample once per batch on the two-phase path
+    /// too: the indicator's two encryptions, one selection per block
+    /// plus the outer one, and the answer's two-level decryption.
+    #[test]
+    fn two_phase_query_enters_each_paillier_layer_per_batch() {
+        use telemetry::trace::{Tracer, TracerConfig};
+        use telemetry::Layer;
+        let tracer = Tracer::new();
+        tracer.configure(&TracerConfig {
+            enabled: true,
+            keep_permille: 1000,
+            ..TracerConfig::default()
+        });
+        let decrypts = telemetry::global().stage_count(Layer::PaillierDecrypt);
+        let (_, handle) = tracer.start();
+        let handle = handle.expect("tracing is on");
+        {
+            let _active = handle.activate();
+            let mut rng = ChaCha8Rng::seed_from_u64(2);
+            let lsp = Lsp::new(grid_db(10), base_config(Variant::Opt));
+            let users = vec![Point::new(0.8, 0.8), Point::new(0.6, 0.9)];
+            let run = run_ppgnn(&lsp, &users, &mut rng).unwrap();
+            check_answer_correct(&run, &lsp, &users);
+        }
+        handle.finish();
+        let segment = &tracer.segments()[0];
+        let spans = |layer| segment.spans.iter().filter(|s| s.name == layer).count();
+        assert_eq!(spans(Layer::PaillierEncrypt), 2);
+        assert!(spans(Layer::PaillierDot) >= 2);
+        assert_eq!(spans(Layer::PaillierDecrypt), 1);
+        assert!(telemetry::global().stage_count(Layer::PaillierDecrypt) > decrypts);
     }
 
     #[test]

@@ -152,10 +152,9 @@ impl Sanitizer {
             // Privacy IV only applies to groups (Definition 2.2).
             return answer.len();
         }
-        let san_span = telemetry::trace::span(telemetry::trace::SpanName::Sanitation);
-        san_span.attr(telemetry::trace::AttrKey::Users, n as u64);
-        san_span.attr(telemetry::trace::AttrKey::SetLen, answer.len() as u64);
-        let _t = telemetry::global().time(telemetry::Stage::Sanitation);
+        let sanitation = telemetry::enter(telemetry::Layer::Sanitation);
+        sanitation.attr(telemetry::trace::AttrKey::Users, n as u64);
+        sanitation.attr(telemetry::trace::AttrKey::SetLen, answer.len() as u64);
 
         // Per target, the colluders' aggregate over each ranked POI.
         let stats: Vec<Vec<f64>> = (0..n)
@@ -193,8 +192,8 @@ impl Sanitizer {
         for t in 2..=answer.len() {
             // One span per prefix length: only the length under test and
             // the surviving-sample count appear, never sample points.
-            let prefix_span = telemetry::trace::span(telemetry::trace::SpanName::SanitationPrefix);
-            prefix_span.attr(telemetry::trace::AttrKey::PrefixLen, t as u64);
+            let prefix = telemetry::enter(telemetry::Layer::SanitationPrefix);
+            prefix.attr(telemetry::trace::AttrKey::PrefixLen, t as u64);
             dists_to(&answer[t - 1], &mut cur);
             let mut min_survivors = u64::MAX;
             let mut all_safe = true;
@@ -215,7 +214,7 @@ impl Sanitizer {
                     break;
                 }
             }
-            prefix_span.attr(telemetry::trace::AttrKey::Survivors, min_survivors);
+            prefix.attr(telemetry::trace::AttrKey::Survivors, min_survivors);
             if !all_safe {
                 return t - 1;
             }

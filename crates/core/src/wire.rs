@@ -125,8 +125,7 @@ fn expect_consumed(buf: &[u8], pos: usize) -> Result<(), PpgnnError> {
 impl LocationSetMessage {
     /// Serializes to exactly [`LocationSetMessage::byte_len`] bytes.
     pub fn to_wire(&self) -> Vec<u8> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::WireEncode);
-        let _t = telemetry::global().time(telemetry::Stage::WireEncode);
+        let sp = telemetry::enter(telemetry::Layer::WireEncode);
         let mut buf = Vec::with_capacity(self.byte_len());
         put_u32(&mut buf, self.user_index);
         for l in &self.locations {
@@ -146,9 +145,8 @@ impl LocationSetMessage {
                 "bad location-set framing".into(),
             ));
         }
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::WireDecode);
+        let sp = telemetry::enter(telemetry::Layer::WireDecode);
         sp.attr(telemetry::trace::AttrKey::Bytes, buf.len() as u64);
-        let _t = telemetry::global().time(telemetry::Stage::WireDecode);
         let mut pos = 0;
         let user_index = get_u32_bounded(buf, &mut pos, "user_index", MAX_WIRE_USER_INDEX)?;
         let count = (buf.len() - SCALAR_BYTES) / LOCATION_BYTES;
@@ -192,9 +190,8 @@ fn get_vector(
 impl QueryMessage {
     /// Serializes to exactly [`QueryMessage::byte_len`] bytes.
     pub fn to_wire(&self) -> Vec<u8> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::WireEncode);
+        let sp = telemetry::enter(telemetry::Layer::WireEncode);
         sp.attr(telemetry::trace::AttrKey::Bytes, self.byte_len() as u64);
-        let _t = telemetry::global().time(telemetry::Stage::WireEncode);
         let mut buf = Vec::with_capacity(self.byte_len());
         put_u32(&mut buf, self.k);
         put_big(&mut buf, self.pk.n(), self.pk.key_bits().div_ceil(8));
@@ -228,9 +225,8 @@ impl QueryMessage {
     /// garbage — returns a typed [`PpgnnError`]; this function never
     /// panics on attacker-controlled bytes.
     pub fn from_wire(buf: &[u8], ctx: &WireContext) -> Result<Self, PpgnnError> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::WireDecode);
+        let sp = telemetry::enter(telemetry::Layer::WireDecode);
         sp.attr(telemetry::trace::AttrKey::Bytes, buf.len() as u64);
-        let _t = telemetry::global().time(telemetry::Stage::WireDecode);
         let mut pos = 0;
         let k = get_u32_bounded(buf, &mut pos, "k", MAX_WIRE_K)?;
         let n_width = ctx.key_bits.div_ceil(8);
@@ -337,9 +333,8 @@ impl QueryMessage {
 impl AnswerMessage {
     /// Serializes to exactly [`AnswerMessage::byte_len`] bytes.
     pub fn to_wire(&self, pk: &PublicKey) -> Vec<u8> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::WireEncode);
+        let sp = telemetry::enter(telemetry::Layer::WireEncode);
         sp.attr(telemetry::trace::AttrKey::Bytes, self.byte_len(pk) as u64);
-        let _t = telemetry::global().time(telemetry::Stage::WireEncode);
         let mut buf = Vec::with_capacity(self.byte_len(pk));
         match self {
             AnswerMessage::Plain(v) => put_vector(&mut buf, v, pk.ciphertext_bytes(1)),
@@ -351,9 +346,8 @@ impl AnswerMessage {
 
     /// Parses a wire answer under the session context.
     pub fn from_wire(buf: &[u8], pk: &PublicKey, two_phase: bool) -> Result<Self, PpgnnError> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::WireDecode);
+        let sp = telemetry::enter(telemetry::Layer::WireDecode);
         sp.attr(telemetry::trace::AttrKey::Bytes, buf.len() as u64);
-        let _t = telemetry::global().time(telemetry::Stage::WireDecode);
         let mut pos = 0;
         if two_phase {
             let w = pk.ciphertext_bytes(2);

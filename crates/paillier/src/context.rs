@@ -203,14 +203,15 @@ impl DjContext {
     }
 
     /// Fresh-randomness encryption `c = (1+N)^m · r^{N^s} mod N^{s+1}`,
-    /// drawing `r` from `rng`. Records the `paillier-encrypt` stage/op.
+    /// drawing `r` from `rng`. Counts one `paillier-encrypt-ops`; the
+    /// `paillier-encrypt` layer times the whole batch
+    /// ([`crate::Encryptor::encrypt_vector`]).
     pub(crate) fn encrypt_core<R: Rng + ?Sized>(
         &self,
         m: &BigUint,
         rng: &mut R,
     ) -> Result<Ciphertext, PaillierError> {
         self.check_plaintext_range(m)?;
-        let _t = telemetry::global().time(telemetry::Stage::PaillierEncrypt);
         telemetry::global().incr(telemetry::Op::PaillierEncrypt);
         let r = self.random_unit(rng);
         Ok(self.encrypt_with_randomness_core(m, &r))
@@ -228,15 +229,14 @@ impl DjContext {
     }
 
     /// The fast online step: one binomial + one mulmod, given the
-    /// precomputed randomizer `rn = r^{N^s} mod N^{s+1}`. Records the
-    /// `paillier-encrypt` stage/op.
+    /// precomputed randomizer `rn = r^{N^s} mod N^{s+1}`. Counts one
+    /// `paillier-encrypt-ops`, like [`Self::encrypt_core`].
     pub(crate) fn encrypt_with_randomizer_core(
         &self,
         m: &BigUint,
         rn: &BigUint,
     ) -> Result<Ciphertext, PaillierError> {
         self.check_plaintext_range(m)?;
-        let _t = telemetry::global().time(telemetry::Stage::PaillierEncrypt);
         telemetry::global().incr(telemetry::Op::PaillierEncrypt);
         let gm = self.one_plus_n_pow(m);
         Ok(Ciphertext {
@@ -257,7 +257,6 @@ impl DjContext {
     /// Panics if the ciphertext's level differs from the context's.
     pub fn decrypt(&self, c: &Ciphertext, sk: &SecretKey) -> BigUint {
         assert_eq!(c.s, self.s, "ciphertext level mismatch");
-        let _t = telemetry::global().time(telemetry::Stage::PaillierDecrypt);
         telemetry::global().incr(telemetry::Op::PaillierDecrypt);
         // c^λ = (1+N)^{λ·m mod N^s} in Z_{N^{s+1}}.
         let c_lambda = self.mont.modpow(&c.value, sk.lambda());

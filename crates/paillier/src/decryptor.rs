@@ -80,17 +80,16 @@ impl Decryptor {
     /// Panics if the ciphertext level differs from the context's.
     pub fn decrypt(&self, ctx: &DjContext, c: &Ciphertext) -> BigUint {
         assert_eq!(c.level(), ctx.level(), "ciphertext level mismatch");
-        let _t = telemetry::global().time(telemetry::Stage::PaillierDecrypt);
         telemetry::global().incr(telemetry::Op::PaillierDecrypt);
         let c_lambda = self.pow_lambda_crt(c.value());
         let x = ctx.dj_log_public(&c_lambda);
         x.mod_mul(&self.lambda_inv, ctx.plaintext_modulus())
     }
 
-    /// Decrypts a whole vector.
+    /// Decrypts a whole vector: one `paillier-decrypt` batch.
     pub fn decrypt_vector(&self, ctx: &DjContext, v: &crate::EncryptedVector) -> Vec<BigUint> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::PaillierDecrypt);
-        sp.attr(telemetry::trace::AttrKey::Ciphertexts, v.len() as u64);
+        let batch = telemetry::enter(telemetry::Layer::PaillierDecrypt);
+        batch.attr(telemetry::trace::AttrKey::Ciphertexts, v.len() as u64);
         v.elements().iter().map(|c| self.decrypt(ctx, c)).collect()
     }
 }

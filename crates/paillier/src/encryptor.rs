@@ -75,10 +75,11 @@ pub trait Encryptor: Send + Sync {
         Ok(ctx.encrypt_with_randomness_core(m, r))
     }
 
-    /// Encrypts a plaintext vector element-wise.
+    /// Encrypts a plaintext vector element-wise: one `paillier-encrypt`
+    /// batch.
     fn encrypt_vector(&self, values: &[BigUint]) -> Result<EncryptedVector, PaillierError> {
-        let sp = telemetry::trace::span(telemetry::trace::SpanName::PaillierEncrypt);
-        sp.attr(telemetry::trace::AttrKey::Ciphertexts, values.len() as u64);
+        let batch = telemetry::enter(telemetry::Layer::PaillierEncrypt);
+        batch.attr(telemetry::trace::AttrKey::Ciphertexts, values.len() as u64);
         let elements: Result<Vec<_>, _> = values.iter().map(|v| self.encrypt(v)).collect();
         Ok(EncryptedVector::from_ciphertexts(elements?))
     }

@@ -99,7 +99,6 @@ impl EncryptedVector {
                 right: self.elements.len(),
             });
         }
-        let _t = telemetry::global().time(telemetry::Stage::PaillierDot);
         telemetry::global().incr(telemetry::Op::PaillierDot);
         // Tables only for components with nonzero coefficients: 0 ⊗ [v]
         // contributes Enc(0) and is skipped entirely.
@@ -133,7 +132,6 @@ impl EncryptedVector {
                 right: self.elements.len(),
             });
         }
-        let _t = telemetry::global().time(telemetry::Stage::PaillierDot);
         telemetry::global().incr(telemetry::Op::PaillierDot);
         let nonzero = x.iter().filter(|xi| !xi.is_zero()).count();
         telemetry::global().incr_by(telemetry::Op::PaillierDotElements, nonzero as u64);
@@ -191,10 +189,11 @@ pub fn matrix_select_with(
         });
     }
     let m = columns.iter().map(|c| c.len()).max().unwrap_or(0);
-    // One span for the whole A ⨂ [v] batch; per-dot spans would swamp
-    // the per-segment cap, and op counts already ride on the segment.
-    let sp = telemetry::trace::span(telemetry::trace::SpanName::PaillierDot);
-    sp.attr(telemetry::trace::AttrKey::Ciphertexts, (m * v.len()) as u64);
+    // One `paillier-dot` extent for the whole A ⨂ [v] batch: a guard
+    // per dot would swamp the per-segment span cap, and the per-dot cost
+    // stays exact in the op counters.
+    let batch = telemetry::enter(telemetry::Layer::PaillierDot);
+    batch.attr(telemetry::trace::AttrKey::Ciphertexts, (m * v.len()) as u64);
     let zero = BigUint::zero();
 
     if matches!(opts.strategy, SelectStrategy::Naive) {
@@ -218,7 +217,6 @@ pub fn matrix_select_with(
         .collect();
 
     let eval_row = |row: usize| -> Ciphertext {
-        let _t = telemetry::global().time(telemetry::Stage::PaillierDot);
         telemetry::global().incr(telemetry::Op::PaillierDot);
         let mut table_refs = Vec::with_capacity(columns.len());
         let mut exps = Vec::with_capacity(columns.len());
@@ -271,8 +269,10 @@ pub fn matrix_select(
     matrix_select_with(columns, v, ctx, &SelectOptions::default())
 }
 
-/// Decrypts a vector element-wise.
+/// Decrypts a vector element-wise: one `paillier-decrypt` batch.
 pub fn decrypt_vector(v: &EncryptedVector, ctx: &DjContext, sk: &SecretKey) -> Vec<BigUint> {
+    let batch = telemetry::enter(telemetry::Layer::PaillierDecrypt);
+    batch.attr(telemetry::trace::AttrKey::Ciphertexts, v.len() as u64);
     v.elements.iter().map(|c| ctx.decrypt(c, sk)).collect()
 }
 

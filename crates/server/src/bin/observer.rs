@@ -10,17 +10,16 @@
 //! ```text
 //! observer [--seed 7] [--samples 30] [--warmup 2] [--permutations 1000]
 //!          [--quantum-ms 200] [--latency-bin-ms 25] [--pois 200]
-//!          [--json PATH] [--bench-json PATH]
+//!          [--json PATH]
 //! ```
 //!
 //! Exit status is the two-direction gate: 0 when the off-mode server
 //! was distinguished (p < 0.01 on some channel) AND the padded server
 //! was not (p ≥ 0.05 on every channel); 1 otherwise; 2 on usage
 //! errors. `--json` writes the full distribution report (the CI
-//! artifact) before the gate is evaluated, so a failing run still
-//! leaves its evidence behind. `--bench-json` merges the padded-mode
-//! overhead numbers into an existing BENCH_server.json as a `"shape"`
-//! section.
+//! artifact, padded-mode overhead included as its `"shape"` section)
+//! before the gate is evaluated, so a failing run still leaves its
+//! evidence behind.
 
 use std::time::Duration;
 
@@ -31,14 +30,12 @@ use ppgnn_server::ShapeMode;
 struct Args {
     config: ObserverConfig,
     json: Option<String>,
-    bench_json: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         config: ObserverConfig::default(),
         json: None,
-        bench_json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -56,12 +53,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--pois" => args.config.pois = parse(&value("--pois")?)?,
             "--json" => args.json = Some(value("--json")?),
-            "--bench-json" => args.bench_json = Some(value("--bench-json")?),
             "--help" | "-h" => {
                 println!(
                     "usage: observer [--seed S] [--samples N] [--warmup W] \
                      [--permutations R] [--quantum-ms MS] [--latency-bin-ms MS] \
-                     [--pois P] [--json PATH] [--bench-json PATH]"
+                     [--pois P] [--json PATH]"
                 );
                 std::process::exit(0);
             }
@@ -82,27 +78,6 @@ fn parse_args() -> Result<Args, String> {
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad numeric value {s:?}"))
-}
-
-/// Splices `"shape": {...}` into an existing top-level JSON object,
-/// replacing a previous `"shape"` section if one is present.
-fn merge_shape_section(bench: &str, shape: &str) -> Result<String, String> {
-    let trimmed = bench.trim_end();
-    let body = trimmed
-        .strip_suffix('}')
-        .ok_or("bench json does not end with '}'")?;
-    // Drop an existing "shape" section (always the last, since this is
-    // the only writer that appends one).
-    let body = match body.find("\"shape\":") {
-        Some(at) => body[..at].trim_end().trim_end_matches(','),
-        None => body.trim_end(),
-    };
-    let sep = if body.trim_end().ends_with('{') {
-        ""
-    } else {
-        ","
-    };
-    Ok(format!("{body}{sep}\"shape\":{shape}}}\n"))
 }
 
 fn main() {
@@ -152,24 +127,6 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("[observer] report written to {path}");
-    }
-    if let Some(path) = &args.bench_json {
-        let merged = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bench| merge_shape_section(&bench, &report.shape_json()));
-        match merged {
-            Ok(out) => {
-                if let Err(e) = std::fs::write(path, out) {
-                    eprintln!("observer: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("[observer] shape overhead merged into {path}");
-            }
-            Err(e) => {
-                eprintln!("observer: merging into {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
     let off_ok = report.off_distinguishable();
     let padded_leak = report.padded_distinguishable();

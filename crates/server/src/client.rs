@@ -18,8 +18,8 @@ use ppgnn_core::messages::AnswerMessage;
 use ppgnn_core::partition_cache::solve_partition_cached;
 use ppgnn_core::{opt_split, PpgnnConfig, PpgnnSession, Variant};
 use ppgnn_geo::{PoiOp, Point, Rect};
-use ppgnn_telemetry::trace::{self, AttrKey, SpanName, TraceContext, TraceSegment};
-use ppgnn_telemetry::{self as telemetry, TelemetrySnapshot};
+use ppgnn_telemetry::trace::{self, AttrKey, TraceContext, TraceSegment};
+use ppgnn_telemetry::{self as telemetry, Layer, TelemetrySnapshot};
 use rand::Rng;
 
 use crate::backoff::{BackoffSchedule, RetryPolicy};
@@ -712,7 +712,7 @@ impl GroupClient {
         // End-to-end covers plan, encode, every wire attempt (including
         // backoff sleeps), and the final decrypt — the latency a group
         // member actually experiences.
-        let _e2e = telemetry::global().time(telemetry::Stage::EndToEnd);
+        let _e2e = telemetry::enter(Layer::EndToEnd);
         // A subscription asks for one extra answer — the runner-up
         // sentinel `subscribe` turns into the safe-region margin.
         let config = if subscribe {
@@ -745,8 +745,7 @@ impl GroupClient {
         // Encoded once: every retry resends these exact bytes, so the
         // server sees the identical ciphertexts and request ID.
         let payload = {
-            let sp = trace::span(SpanName::ClientEncode);
-            let _t = telemetry::global().time(telemetry::Stage::ClientEncode);
+            let sp = telemetry::enter(Layer::ClientEncode);
             let bytes = QueryPayload {
                 group_id: self.group_id,
                 request_id,

@@ -1337,7 +1337,7 @@ mod tests {
     #[test]
     fn stats_reply_round_trip() {
         let reg = ppgnn_telemetry::MetricsRegistry::new();
-        reg.record_us(ppgnn_telemetry::Stage::Validate, 17);
+        reg.record_us(ppgnn_telemetry::Layer::Validate, 17);
         let mut snapshot = reg.snapshot();
         snapshot.push_counter(ppgnn_telemetry::ServerMetric::QueriesOk.name(), 3);
         let p = StatsReplyPayload { snapshot };

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use ppgnn_telemetry::openmetrics::{self, SloBurn};
 use ppgnn_telemetry::window::{WindowRing, WindowedSnapshot, DEFAULT_CAPACITY, DEFAULT_INTERVAL};
-use ppgnn_telemetry::{self as telemetry, ServerMetric, Stage};
+use ppgnn_telemetry::{self as telemetry, Layer, ServerMetric};
 
 use crate::server::{full_snapshot, health_snapshot, read_metrics, Shared};
 
@@ -48,7 +48,7 @@ use crate::server::{full_snapshot, health_snapshot, read_metrics, Shared};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloConfig {
     /// A query slower than this burns the latency budget. Measured on
-    /// [`Stage::ServeQuery`] (enqueue → reply, queue wait included).
+    /// [`Layer::ServeQuery`] (enqueue → reply, queue wait included).
     pub latency_target_us: u64,
     /// Fraction of queries allowed over the latency target, in parts
     /// per million (50_000 = 5 %).
@@ -119,7 +119,7 @@ impl Observability {
             let iv = ring.interval().as_millis().max(1);
             let n = window.as_millis().div_ceil(iv).max(1) as usize;
             let (over, total) =
-                ring.stage_over_threshold(Stage::ServeQuery, n, slo.latency_target_us);
+                ring.stage_over_threshold(Layer::ServeQuery, n, slo.latency_target_us);
             let err = ring.server_delta(ServerMetric::QueriesErr, n);
             let ok = ring.server_delta(ServerMetric::QueriesOk, n);
             let latency = burn_permille(over, total, slo.latency_budget_ppm);

@@ -214,8 +214,8 @@ impl ObserverReport {
         o.finish()
     }
 
-    /// The `"shape"` overhead section merged into `BENCH_server.json`.
-    pub fn shape_json(&self) -> String {
+    /// The padded-mode overhead: the report's `"shape"` section.
+    fn shape_json(&self) -> String {
         let mut o = json::Obj::new();
         o.field_u64("quantum_ms", self.quantum_ms);
         o.field_u64("off_p50_us", self.off_p50_us);

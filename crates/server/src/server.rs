@@ -47,15 +47,15 @@ use std::time::{Duration, Instant};
 
 use ppgnn_core::messages::{AnswerMessage, LocationSetMessage, QueryMessage};
 use ppgnn_core::{expand_candidates, DynamicLsp, Lsp, PpgnnConfig};
-use ppgnn_geo::{Poi, Rect};
+use ppgnn_geo::{Poi, PoiOp, Rect};
 use ppgnn_sim::CostLedger;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ppgnn_telemetry::trace::{self, AttrKey, SpanName, TraceHandle};
+use ppgnn_telemetry::trace::{self, TraceHandle};
 use ppgnn_telemetry::window::WindowedSnapshot;
 use ppgnn_telemetry::{
-    self as telemetry, splitmix64, HealthSnapshot, ServerMetric, TelemetrySnapshot,
+    self as telemetry, splitmix64, HealthSnapshot, Layer, ServerMetric, TelemetrySnapshot,
     SPLITMIX64_GAMMA,
 };
 
@@ -989,7 +989,7 @@ fn serve_durable_inner(
         ));
     };
     let dir = dur.data_dir.clone();
-    let (world, recovery, replayed) = match wal::recover(&dir)? {
+    let (world, recovery, replayed, ops_since_checkpoint) = match wal::recover(&dir)? {
         None => {
             // First boot: seed the dir so the world is durable from
             // version 1 on.
@@ -997,7 +997,7 @@ fn serve_durable_inner(
             let world = DynamicLsp::with_space(initial_pois, protocol, space)
                 .with_parallelism(config.selection_parallelism)
                 .with_naive_crypto(config.naive_crypto);
-            (world, None, Vec::new())
+            (world, None, Vec::new(), 0)
         }
         Some(rec) => {
             eprintln!("[ppgnn-server] {}", rec.summary());
@@ -1016,7 +1016,11 @@ fn serve_durable_inner(
                 debug_assert_eq!(version, b.version, "replay must track the log versions");
                 replayed.push(((b.request_id, b.batch_id), version, applied as u32));
             }
-            (world, Some(facts), replayed)
+            // The replayed tail is not in any checkpoint yet: it counts
+            // toward the next one, or a server restarted more often than
+            // every `checkpoint_every_ops` ops would never cut one.
+            let pending = rec.batches.iter().map(|b| checkpoint_weight(&b.ops)).sum();
+            (world, Some(facts), replayed, pending)
         }
     };
     // The WAL continues at the version recovery resumed at — after a
@@ -1027,7 +1031,7 @@ fn serve_durable_inner(
         wal: wal_file,
         acked: HashMap::new(),
         acked_order: VecDeque::new(),
-        ops_since_checkpoint: 0,
+        ops_since_checkpoint,
         checkpoint_every_ops: dur.checkpoint_every_ops,
     };
     for (key, version, applied) in replayed {
@@ -1043,6 +1047,12 @@ fn serve_durable_inner(
         Some(Mutex::new(state)),
         recovery,
     )
+}
+
+/// How much one `PoiUpdate` batch counts toward the next checkpoint: its
+/// op count, and at least one, so empty batches still advance it.
+fn checkpoint_weight(ops: &[PoiOp]) -> u64 {
+    (ops.len() as u64).max(1)
 }
 
 /// A per-process restart epoch: wall-clock nanos mixed with the pid,
@@ -1312,11 +1322,11 @@ impl ResponseShaper {
         }
         let hold = self.policy.hold_for(self.started.elapsed());
         if !hold.is_zero() {
-            let _t = telemetry::global().time(telemetry::Stage::LatencyHold);
+            let _hold = telemetry::enter(Layer::LatencyHold);
             std::thread::sleep(hold);
         }
         let pad = self.policy.pad_for(lane, payload.len());
-        let _t = telemetry::global().time(telemetry::Stage::ShapePad);
+        let _pad = telemetry::enter(Layer::ShapePad);
         write_frame_padded(stream, frame_type, payload, pad)
     }
 }
@@ -1337,7 +1347,7 @@ fn send_shaped_unheld(
         return write_frame(stream, frame_type, payload);
     }
     let pad = policy.pad_for(lane, payload.len());
-    let _t = telemetry::global().time(telemetry::Stage::ShapePad);
+    let _pad = telemetry::enter(Layer::ShapePad);
     write_frame_padded(stream, frame_type, payload, pad)
 }
 
@@ -1903,10 +1913,8 @@ fn handle_query(
     // session's own handshake before a worker spends a microsecond. The
     // set count is visible pre-decode; a rewound request ID is caught
     // next (replays of *cached* requests were already served above);
-    // the full shape and ciphertext checks run after the wire decode.
-    let vspan = trace::span(SpanName::Validate);
-    vspan.attr(AttrKey::Users, q.location_sets.len() as u64);
-    vspan.attr(AttrKey::Bytes, payload.len() as u64);
+    // the full shape and ciphertext checks (`validate_query`, the
+    // `validate` layer) run after the wire decode (`wire-decode`).
     if let Err(v) = validate_set_count(&params, q.location_sets.len()) {
         shared.stats.queries_err.fetch_add(1, Ordering::Relaxed);
         return reject_violation(shared, conn, shaper, stream, q.group_id, q.request_id, v);
@@ -1955,7 +1963,6 @@ fn handle_query(
         shared.stats.queries_err.fetch_add(1, Ordering::Relaxed);
         return reject_violation(shared, conn, shaper, stream, q.group_id, q.request_id, v);
     }
-    drop(vspan);
     // For a subscription the candidate expansion is needed twice: the
     // worker runs it inside `process_query`, and the safe regions are
     // computed over the same candidate list after the answer lands.
@@ -2260,7 +2267,31 @@ fn handle_poi_update(
                 write_frame(stream, FrameType::PoiUpdateAck, &ack.encode())?;
                 return Ok(ConnAction::Continue);
             }
-            let version = dyn_lsp.version() + 1;
+            let current = dyn_lsp.version();
+            let version = current + 1;
+            let weight = checkpoint_weight(&p.ops);
+            if st.ops_since_checkpoint > 0
+                && st.ops_since_checkpoint + weight >= st.checkpoint_every_ops
+            {
+                // Cut the checkpoint *before* logging the batch that
+                // brings the tail to the threshold: that batch opens the
+                // fresh WAL, so the newest acked batch is always one a
+                // boot replays, and its redelivery after a crash is
+                // re-acked instead of re-applied. The snapshot is
+                // consistent with the current version: this lock is the
+                // only mutation path.
+                match st.wal.checkpoint(&dyn_lsp.live_pois(), current) {
+                    Ok(()) => {
+                        shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+                        st.ops_since_checkpoint = 0;
+                    }
+                    Err(e) => {
+                        // Durability degrades to the WAL alone; the
+                        // next batch retries the checkpoint.
+                        eprintln!("[ppgnn-server] checkpoint at v{current} failed: {e}");
+                    }
+                }
+            }
             // Log-before-apply: a batch that cannot reach the platter
             // is refused outright, never half-admitted.
             if let Err(e) = st.wal.append(version, p.request_id, key.1, &p.ops) {
@@ -2281,22 +2312,7 @@ fn handle_poi_update(
             // must echo it verbatim.
             let invalidated = shared.subscriptions.invalidate_for_ops(&p.ops, published);
             st.remember(key, published, applied as u32, invalidated as u32);
-            st.ops_since_checkpoint += (p.ops.len() as u64).max(1);
-            if st.ops_since_checkpoint >= st.checkpoint_every_ops {
-                // The snapshot is consistent with `published`: this
-                // lock is the only mutation path.
-                match st.wal.checkpoint(&dyn_lsp.live_pois(), published) {
-                    Ok(()) => {
-                        shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-                        st.ops_since_checkpoint = 0;
-                    }
-                    Err(e) => {
-                        // Durability degrades to the WAL alone; the
-                        // next batch retries the checkpoint.
-                        eprintln!("[ppgnn-server] checkpoint at v{published} failed: {e}");
-                    }
-                }
-            }
+            st.ops_since_checkpoint += weight;
             (applied, published, invalidated)
         }
         None => {
@@ -2425,8 +2441,7 @@ fn worker_loop(shared: Arc<Shared>, rx: JobQueue, index: u64) {
             }
             // An expired query still burns the latency SLO: it spent at
             // least a full deadline in the queue.
-            telemetry::global()
-                .record_duration(telemetry::Stage::ServeQuery, job.enqueued.elapsed());
+            telemetry::global().record_duration(Layer::ServeQuery, job.enqueued.elapsed());
             let _ = job.reply.send(Reply::Failure {
                 request_id: job.request_id,
                 code: ErrorCode::DeadlineExceeded,
@@ -2482,7 +2497,7 @@ fn worker_loop(shared: Arc<Shared>, rx: JobQueue, index: u64) {
         if let Some(h) = job.trace.take() {
             h.finish();
         }
-        telemetry::global().record_duration(telemetry::Stage::ServeQuery, job.enqueued.elapsed());
+        telemetry::global().record_duration(Layer::ServeQuery, job.enqueued.elapsed());
         // A gone receiver means the connection died or timed out; the
         // query result is simply dropped.
         let _ = job.reply.send(reply);

@@ -54,8 +54,8 @@ use std::sync::{Arc, Mutex};
 
 use ppgnn_core::Lsp;
 use ppgnn_geo::{Aggregate, PoiId, PoiOp, Point};
-use ppgnn_telemetry::trace::{self, AttrKey, SpanName};
-use ppgnn_telemetry::{self as telemetry, Stage};
+use ppgnn_telemetry::trace::AttrKey;
+use ppgnn_telemetry::{self as telemetry, Layer};
 
 use crate::frame::{SubscriptionKind, SubscriptionUpdatePayload};
 
@@ -331,23 +331,20 @@ impl SubscriptionRegistry {
     /// threatened group's outbox. Returns how many were invalidated.
     pub fn invalidate_for_ops(&self, ops: &[PoiOp], new_version: u64) -> usize {
         let mut subs = self.lock();
-        let scan = trace::span(SpanName::InvalidateScan);
+        let scan = telemetry::enter(Layer::InvalidateScan);
         scan.attr(AttrKey::Subscriptions, subs.len() as u64);
         scan.attr(AttrKey::PoiOps, ops.len() as u64);
-        let hit: Vec<usize> = {
-            let _t = telemetry::global().time(Stage::InvalidateScan);
-            subs.iter()
-                .enumerate()
-                .filter(|(_, s)| !s.stale && ops.iter().any(|op| op_invalidates(s, op)))
-                .map(|(i, _)| i)
-                .collect()
-        };
+        let hit: Vec<usize> = subs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.stale && ops.iter().any(|op| op_invalidates(s, op)))
+            .map(|(i, _)| i)
+            .collect();
         scan.attr(AttrKey::Invalidated, hit.len() as u64);
         drop(scan);
         if !hit.is_empty() {
-            let fanout = trace::span(SpanName::FanoutNotify);
+            let fanout = telemetry::enter(Layer::FanoutNotify);
             fanout.attr(AttrKey::Invalidated, hit.len() as u64);
-            let _t = telemetry::global().time(Stage::FanoutNotify);
             for &i in &hit {
                 let sub = &mut subs[i];
                 sub.stale = true;

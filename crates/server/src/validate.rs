@@ -250,7 +250,8 @@ pub fn validate_query(
     query: &QueryMessage,
     location_sets: &[LocationSetMessage],
 ) -> Result<(), ProtocolViolation> {
-    let _t = telemetry::global().time(telemetry::Stage::Validate);
+    let gate = telemetry::enter(telemetry::Layer::Validate);
+    gate.attr(telemetry::trace::AttrKey::Users, location_sets.len() as u64);
     if query.k != params.k {
         return Err(ProtocolViolation::KMismatch {
             expected: params.k,

@@ -74,8 +74,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ppgnn_geo::{Poi, PoiOp, Point};
-use ppgnn_telemetry::trace::{self, AttrKey, SpanName};
-use ppgnn_telemetry::{self as telemetry, Stage};
+use ppgnn_telemetry::trace::AttrKey;
+use ppgnn_telemetry::{self as telemetry, Layer};
 
 use crate::frame::{crc32, MAX_POI_OPS};
 
@@ -139,7 +139,8 @@ pub struct DurabilityConfig {
     pub data_dir: PathBuf,
     /// When appends reach the platter.
     pub fsync: FsyncPolicy,
-    /// Checkpoint (and rotate the WAL) after this many applied ops.
+    /// Checkpoint (and rotate the WAL) before logging the batch that
+    /// would bring the WAL tail to this many ops, replayed ones included.
     pub checkpoint_every_ops: u64,
 }
 
@@ -424,8 +425,7 @@ fn sync_dir(dir: &Path) {
 /// rename, directory fsync. A reader can never observe a torn
 /// checkpoint — it either has the old name list or the new one.
 pub fn write_checkpoint(dir: &Path, pois: &[Poi], version: u64) -> io::Result<PathBuf> {
-    let span = trace::span(SpanName::Checkpoint);
-    let _timer = telemetry::global().time(Stage::Checkpoint);
+    let span = telemetry::enter(Layer::Checkpoint);
     let mut body = Vec::with_capacity(4 + 1 + 8 + 4 + pois.len() * 20 + 4);
     body.extend_from_slice(CK_MAGIC);
     body.push(FORMAT);
@@ -509,8 +509,7 @@ pub fn holds_state(dir: &Path) -> bool {
 /// call [`bootstrap`] first), [`WalError::NoValidCheckpoint`] when
 /// checkpoints exist but all fail validation.
 pub fn recover(dir: &Path) -> Result<Option<Recovered>, WalError> {
-    let span = trace::span(SpanName::RecoverReplay);
-    let _timer = telemetry::global().time(Stage::RecoverReplay);
+    let span = telemetry::enter(Layer::RecoverReplay);
     // A data dir that does not exist yet is a fresh boot, same as an
     // empty one — `bootstrap` will create it.
     if !dir.exists() {
@@ -761,9 +760,8 @@ impl Wal {
         batch_id: u64,
         ops: &[PoiOp],
     ) -> io::Result<()> {
-        let span = trace::span(SpanName::WalAppend);
+        let span = telemetry::enter(Layer::WalAppend);
         span.attr(AttrKey::PoiOps, ops.len() as u64);
-        let _timer = telemetry::global().time(Stage::WalAppend);
         let mut body = Vec::with_capacity(8 + 8 + 4 + 2 + ops.len() * 21);
         body.extend_from_slice(&version.to_be_bytes());
         body.extend_from_slice(&batch_id.to_be_bytes());

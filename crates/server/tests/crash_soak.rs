@@ -16,7 +16,7 @@ use ppgnn_core::PpgnnConfig;
 use ppgnn_geo::{Poi, PoiOp, Point, Rect};
 use ppgnn_server::{
     run_soak, serve_world, wal, DurabilityConfig, FsyncPolicy, GroupClient, ServerConfig,
-    ServerError, SoakConfig, SoakServer, WorldSeed,
+    ServerError, ServerHandle, SoakConfig, SoakServer, WorldSeed,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -131,14 +131,14 @@ fn loadgen_rejects_soak_flags_outside_their_lane() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The graceful twin of the kill tests: stop a durable server cleanly,
-/// boot a second one on the same dir, and check the contract pieces
-/// one by one — byte-identical answers, idempotent redelivery of an
-/// already-acked batch, and a version chain that extends by exactly
-/// one across the restart.
-#[test]
-fn in_process_durable_restart_resumes_exact_version() {
-    let dir = tmp_dir("inproc");
+/// Boots an in-process durable server on `dir` (admin token `0xBEEF`,
+/// fsync always) over a small test protocol, and connects an admin
+/// client to it.
+fn boot_durable(
+    dir: &Path,
+    checkpoint_every_ops: u64,
+    initial_pois: Vec<Poi>,
+) -> (ServerHandle, GroupClient) {
     let protocol = PpgnnConfig {
         k: 2,
         d: 3,
@@ -147,44 +147,47 @@ fn in_process_durable_restart_resumes_exact_version() {
         sanitize: false,
         ..PpgnnConfig::fast_test()
     };
-    let pois: Vec<Poi> = (0..60)
+    let config = ServerConfig::builder()
+        .admin_token(Some(0xBEEF))
+        .durability(Some(DurabilityConfig {
+            data_dir: dir.to_path_buf(),
+            fsync: FsyncPolicy::Always,
+            checkpoint_every_ops,
+        }))
+        .build()
+        .unwrap();
+    let seed = WorldSeed::Durable {
+        initial_pois,
+        protocol: protocol.clone(),
+        space: Rect::UNIT,
+    };
+    let handle = serve_world(seed, "127.0.0.1:0", config).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let admin =
+        GroupClient::connect(handle.local_addr(), 9, protocol, Rect::UNIT, 2, &mut rng).unwrap();
+    (handle, admin)
+}
+
+fn grid_pois() -> Vec<Poi> {
+    (0..60)
         .map(|i| {
             Poi::new(
                 i,
                 Point::new((i % 10) as f64 / 10.0 + 0.05, (i / 10) as f64 / 6.0 + 0.05),
             )
         })
-        .collect();
-    let config = ServerConfig::builder()
-        .admin_token(Some(0xBEEF))
-        .durability(Some(DurabilityConfig {
-            data_dir: dir.clone(),
-            fsync: FsyncPolicy::Always,
-            checkpoint_every_ops: 1000,
-        }))
-        .build()
-        .unwrap();
+        .collect()
+}
 
-    let handle = serve_world(
-        WorldSeed::Durable {
-            initial_pois: pois,
-            protocol: protocol.clone(),
-            space: Rect::UNIT,
-        },
-        "127.0.0.1:0",
-        config.clone(),
-    )
-    .unwrap();
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let mut admin = GroupClient::connect(
-        handle.local_addr(),
-        9,
-        protocol.clone(),
-        Rect::UNIT,
-        2,
-        &mut rng,
-    )
-    .unwrap();
+/// The graceful twin of the kill tests: stop a durable server cleanly,
+/// boot a second one on the same dir, and check the contract pieces
+/// one by one — byte-identical answers, idempotent redelivery of an
+/// already-acked batch, and a version chain that extends by exactly
+/// one across the restart.
+#[test]
+fn in_process_durable_restart_resumes_exact_version() {
+    let dir = tmp_dir("inproc");
+    let (handle, mut admin) = boot_durable(&dir, 1000, grid_pois());
     let ops = vec![
         PoiOp::Insert(Poi::new(500, Point::new(0.5, 0.5))),
         PoiOp::Remove(3),
@@ -192,24 +195,14 @@ fn in_process_durable_restart_resumes_exact_version() {
     let ack = admin.poi_update(0xBEEF, &ops).unwrap();
     assert_eq!(ack.version, 2, "bootstrap is v1, first batch must be v2");
     let query = [Point::new(0.49, 0.5), Point::new(0.51, 0.5)];
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
     let before = admin.query(&query, &mut rng).unwrap();
     handle.shutdown();
 
     // Second life: initial POIs are deliberately empty — everything
     // must come from the checkpoint + WAL replay.
-    let handle = serve_world(
-        WorldSeed::Durable {
-            initial_pois: Vec::new(),
-            protocol: protocol.clone(),
-            space: Rect::UNIT,
-        },
-        "127.0.0.1:0",
-        config,
-    )
-    .unwrap();
+    let (handle, mut admin) = boot_durable(&dir, 1000, Vec::new());
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let mut admin =
-        GroupClient::connect(handle.local_addr(), 9, protocol, Rect::UNIT, 2, &mut rng).unwrap();
     let after = admin.query(&query, &mut rng).unwrap();
     assert_eq!(before, after, "recovered server must answer identically");
 
@@ -224,6 +217,58 @@ fn in_process_durable_restart_resumes_exact_version() {
 
     let next = admin.poi_update(0xBEEF, &[PoiOp::Remove(5)]).unwrap();
     assert_eq!(next.version, 3, "the chain extends by exactly one");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restart does not reset the checkpoint clock: the WAL tail a boot
+/// replays counts toward the next checkpoint. Three one-op batches stay
+/// under `checkpoint_every_ops = 4`; after a restart, one more batch
+/// reaches it, which cuts a checkpoint of the replayed state (v4) and
+/// opens the fresh WAL with that batch (v5), so a redelivery of it is
+/// still re-acked after a further restart.
+#[test]
+fn replayed_wal_tail_counts_toward_the_next_checkpoint() {
+    let dir = tmp_dir("ckpt-clock");
+    let checkpoints = |handle: &ServerHandle| {
+        let snapshot = handle.telemetry_snapshot();
+        snapshot.counter("checkpoints").unwrap_or(0)
+    };
+    let checkpoint_files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.ends_with(".ppck"))
+            .collect();
+        names.sort();
+        names
+    };
+
+    let (handle, mut admin) = boot_durable(&dir, 4, grid_pois());
+    for id in 100..103 {
+        let insert = PoiOp::Insert(Poi::new(id, Point::new(0.5, 0.5)));
+        admin.poi_update(0xBEEF, &[insert]).unwrap();
+    }
+    assert_eq!(checkpoints(&handle), 0, "3 ops stay under the threshold");
+    handle.shutdown();
+    assert_eq!(checkpoint_files(), ["checkpoint-0000000000000001.ppck"]);
+
+    let (handle, mut admin) = boot_durable(&dir, 4, Vec::new());
+    let ack = admin.poi_update(0xBEEF, &[PoiOp::Remove(0)]).unwrap();
+    assert_eq!(ack.version, 5);
+    assert_eq!(checkpoints(&handle), 1, "replayed tail + 1 op = threshold");
+    handle.shutdown();
+    let cut = "checkpoint-0000000000000004.ppck";
+    assert_eq!(
+        checkpoint_files(),
+        ["checkpoint-0000000000000001.ppck", cut]
+    );
+
+    let (handle, mut admin) = boot_durable(&dir, 4, Vec::new());
+    let redelivered = admin
+        .poi_update_with_id(0xBEEF, ack.request_id, &[PoiOp::Remove(0)])
+        .unwrap();
+    assert_eq!((redelivered.version, redelivered.applied), (5, ack.applied));
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -105,9 +105,6 @@ pub fn render_trace_tree(segments: &[ppgnn_telemetry::trace::TraceSegment]) -> S
         for &(k, v) in &span.attrs {
             out.push_str(&format!(" {}={}", k.name(), v));
         }
-        if span.error {
-            out.push_str(" [error]");
-        }
         out.push('\n');
         let mut children: Vec<&SpanRecord> = spans
             .iter()
@@ -263,7 +260,8 @@ mod tests {
 
     #[test]
     fn trace_tree_nests_server_under_client() {
-        use ppgnn_telemetry::trace::{self, AttrKey, SpanName, Tracer, TracerConfig};
+        use ppgnn_telemetry::trace::{AttrKey, Tracer, TracerConfig};
+        use ppgnn_telemetry::{enter, Layer};
         let t = Tracer::new();
         t.configure(&TracerConfig {
             enabled: true,
@@ -277,12 +275,12 @@ mod tests {
         let client = client.unwrap();
         {
             let _a = client.activate();
-            let _s = trace::span(SpanName::ClientPlan);
+            let _s = enter(Layer::ClientPlan);
         }
         let server = t.resume(&ctx).unwrap();
         {
             let _a = server.activate();
-            let s = trace::span(SpanName::Validate);
+            let s = enter(Layer::Validate);
             s.attr(AttrKey::Users, 3);
         }
         server.finish();

@@ -6,9 +6,11 @@
 //! so every layer — crypto primitives, protocol engine, networked server
 //! and client — can report into one [`MetricsRegistry`]:
 //!
-//! * [`Stage`] — named pipeline stages, each backed by a fixed-bucket
-//!   [`Histogram`] of microsecond latencies (log₂ octaves with 4 linear
-//!   sub-buckets: ≤ 12.5 % relative error, zero allocation, atomics only);
+//! * [`Layer`] — the one closed table of pipeline layers, entered through
+//!   one guard ([`enter`]); a layer keeps a fixed-bucket [`Histogram`] of
+//!   microsecond latencies (log₂ octaves with 4 linear sub-buckets:
+//!   ≤ 12.5 % relative error, zero allocation, atomics only), a trace
+//!   span tag, or both;
 //! * [`Op`] — cheap monotone operation counters (one relaxed
 //!   `fetch_add`) for the hot homomorphic primitives where even an
 //!   `Instant::now()` pair would be material;
@@ -28,8 +30,8 @@
 //! Instrumented crates call through the process-wide [`global`] registry;
 //! handles are `Arc`-cheap to clone and every record path is wait-free.
 //! Building with `--features ppgnn-telemetry/noop` compiles every record
-//! call to nothing — that is the control arm of the overhead A/B budget
-//! in DESIGN.md §12.
+//! call and every [`enter`] guard to nothing — that is the control arm
+//! of the overhead A/B budget in DESIGN.md §12.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -43,18 +45,25 @@ pub mod trace;
 pub mod window;
 
 // ---------------------------------------------------------------------------
-// Stage / Op / Gauge name spaces
+// Layer / Op / Gauge name spaces
 // ---------------------------------------------------------------------------
 
-/// A named pipeline stage, timed into a fixed-bucket histogram.
+/// A named pipeline layer: the one closed vocabulary of the latency
+/// histograms and the trace spans alike. Code enters a layer through one
+/// guard, [`enter`], which records the histogram sample and, when a
+/// trace is active on the thread, the span.
 ///
-/// Stages are hierarchical by design: `end-to-end` contains
-/// `client-plan`, `wire-encode` work happens inside `client-encode`, and
-/// `paillier-dot` time is part of `private-selection`. Sums across
-/// stages therefore over-count; read each stage on its own.
+/// [`Layer::TABLE`] gives each layer its kebab name, whether it keeps a
+/// histogram and its span wire tag. The histogram layers lead the table
+/// in report order, so a histogram layer's variant index is its slot.
+///
+/// Layers nest: `end-to-end` contains `client-plan`, `wire-encode` work
+/// happens inside `client-encode`, and `paillier-dot` time is part of
+/// `private-selection`. Sums across layers therefore over-count; read
+/// each layer on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Stage {
+#[repr(u8)]
+pub enum Layer {
     /// Algorithm 1 client side: partition, plant, encrypt indicator.
     ClientPlan,
     /// Client-side request assembly (query payload bytes).
@@ -67,20 +76,21 @@ pub enum Stage {
     Validate,
     /// LSP candidate evaluation loop (Algorithm 2 answers).
     CandidateEval,
-    /// Damgård–Jurik encryption (probabilistic paths).
+    /// One Damgård–Jurik encryption batch (`encrypt_vector`).
     PaillierEncrypt,
-    /// Damgård–Jurik decryption.
+    /// One Damgård–Jurik decryption batch (`decrypt_vector`, or the
+    /// two-phase answer decode).
     PaillierDecrypt,
-    /// Homomorphic dot product `⟨x, [v]⟩`.
+    /// One homomorphic selection batch `A ⨂ [v]` (`matrix_select_with`).
     PaillierDot,
-    /// Private selection `A ⨂ [v]` (plus the OPT outer phase).
+    /// Private selection (`A ⨂ [v]` plus the OPT outer phase).
     PrivateSelection,
     /// Answer sanitation (`safe_prefix_len`: inequality systems + Z-tests).
     Sanitation,
     /// One whole client query: plan → wire → answer → decode.
     EndToEnd,
     /// One whole server-side query: enqueue → worker reply (queue wait
-    /// included) — the stage the server's latency SLO burns against.
+    /// included) — the layer the server's latency SLO burns against.
     ServeQuery,
     /// Dynamic-index mutation: applying a `PoiUpdate` batch and
     /// publishing the new snapshot.
@@ -100,67 +110,75 @@ pub enum Stage {
     ShapePad,
     /// Holding a response until its latency-quantum boundary.
     LatencyHold,
+    /// Client trace root: one whole query (plan → answer decode).
+    ClientQuery,
+    /// Server trace root: one query as seen by the LSP.
+    ServerQuery,
+    /// One prefix length's Z-test pass inside sanitation.
+    SanitationPrefix,
 }
 
-impl Stage {
-    /// Every stage, in wire/report order.
-    pub const ALL: [Stage; 21] = [
-        Stage::ClientPlan,
-        Stage::ClientEncode,
-        Stage::WireEncode,
-        Stage::WireDecode,
-        Stage::Validate,
-        Stage::CandidateEval,
-        Stage::PaillierEncrypt,
-        Stage::PaillierDecrypt,
-        Stage::PaillierDot,
-        Stage::PrivateSelection,
-        Stage::Sanitation,
-        Stage::EndToEnd,
-        Stage::ServeQuery,
-        Stage::IndexMutate,
-        Stage::InvalidateScan,
-        Stage::FanoutNotify,
-        Stage::WalAppend,
-        Stage::Checkpoint,
-        Stage::RecoverReplay,
-        Stage::ShapePad,
-        Stage::LatencyHold,
+impl Layer {
+    /// The one layer table, indexed by variant: the stable kebab-case
+    /// name (JSON, `/metrics`, Chrome trace), whether the layer keeps a
+    /// histogram, and its span wire tag (`None`: never traced).
+    #[rustfmt::skip]
+    pub const TABLE: [(Layer, &'static str, bool, Option<u8>); 24] = [
+        (Layer::ClientPlan,       "client-plan",       true,  Some(2)),
+        (Layer::ClientEncode,     "client-encode",     true,  Some(3)),
+        (Layer::WireEncode,       "wire-encode",       true,  Some(4)),
+        (Layer::WireDecode,       "wire-decode",       true,  Some(5)),
+        (Layer::Validate,         "validate",          true,  Some(7)),
+        (Layer::CandidateEval,    "candidate-eval",    true,  Some(8)),
+        (Layer::PaillierEncrypt,  "paillier-encrypt",  true,  Some(9)),
+        (Layer::PaillierDecrypt,  "paillier-decrypt",  true,  Some(10)),
+        (Layer::PaillierDot,      "paillier-dot",      true,  Some(11)),
+        (Layer::PrivateSelection, "private-selection", true,  Some(12)),
+        (Layer::Sanitation,       "sanitation",        true,  Some(13)),
+        (Layer::EndToEnd,         "end-to-end",        true,  None),
+        (Layer::ServeQuery,       "serve-query",       true,  None),
+        (Layer::IndexMutate,      "index-mutate",      true,  Some(15)),
+        (Layer::InvalidateScan,   "invalidate-scan",   true,  Some(16)),
+        (Layer::FanoutNotify,     "fanout-notify",     true,  Some(17)),
+        (Layer::WalAppend,        "wal-append",        true,  Some(18)),
+        (Layer::Checkpoint,       "checkpoint",        true,  Some(19)),
+        (Layer::RecoverReplay,    "recover-replay",    true,  Some(20)),
+        (Layer::ShapePad,         "shape-pad",         true,  None),
+        (Layer::LatencyHold,      "latency-hold",      true,  None),
+        (Layer::ClientQuery,      "client-query",      false, Some(1)),
+        (Layer::ServerQuery,      "server-query",      false, Some(6)),
+        (Layer::SanitationPrefix, "sanitation-prefix", false, Some(14)),
     ];
 
-    /// Number of stages.
-    pub const COUNT: usize = Self::ALL.len();
+    /// Number of histogram layers: the leading rows of [`Layer::TABLE`].
+    pub const HISTOGRAMS: usize = 21;
 
-    /// The stable metric name (kebab-case; used in JSON and on the wire).
+    /// The stable metric and span name.
     pub fn name(self) -> &'static str {
-        match self {
-            Stage::ClientPlan => "client-plan",
-            Stage::ClientEncode => "client-encode",
-            Stage::WireEncode => "wire-encode",
-            Stage::WireDecode => "wire-decode",
-            Stage::Validate => "validate",
-            Stage::CandidateEval => "candidate-eval",
-            Stage::PaillierEncrypt => "paillier-encrypt",
-            Stage::PaillierDecrypt => "paillier-decrypt",
-            Stage::PaillierDot => "paillier-dot",
-            Stage::PrivateSelection => "private-selection",
-            Stage::Sanitation => "sanitation",
-            Stage::EndToEnd => "end-to-end",
-            Stage::ServeQuery => "serve-query",
-            Stage::IndexMutate => "index-mutate",
-            Stage::InvalidateScan => "invalidate-scan",
-            Stage::FanoutNotify => "fanout-notify",
-            Stage::WalAppend => "wal-append",
-            Stage::Checkpoint => "checkpoint",
-            Stage::RecoverReplay => "recover-replay",
-            Stage::ShapePad => "shape-pad",
-            Stage::LatencyHold => "latency-hold",
-        }
+        Self::TABLE[self as usize].1
     }
 
-    /// Inverse of [`Stage::name`].
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
+    /// Whether the layer keeps a latency histogram.
+    pub fn keeps_histogram(self) -> bool {
+        Self::TABLE[self as usize].2
+    }
+
+    /// The span wire tag, `None` for a layer that is never traced.
+    pub fn tag(self) -> Option<u8> {
+        Self::TABLE[self as usize].3
+    }
+
+    /// Wire tag → layer; `None` for every tag no layer carries.
+    pub fn from_tag(tag: u8) -> Option<Layer> {
+        Self::TABLE
+            .into_iter()
+            .find(|row| row.3 == Some(tag))
+            .map(|row| row.0)
+    }
+
+    /// The histogram layers, in report order.
+    pub fn histograms() -> impl Iterator<Item = Layer> {
+        Self::TABLE[..Self::HISTOGRAMS].iter().map(|row| row.0)
     }
 }
 
@@ -218,7 +236,7 @@ impl Op {
     pub const COUNT: usize = Self::ALL.len();
 
     /// The stable metric name. Suffixed `-ops` so op counters never
-    /// collide with the stage histogram namespace.
+    /// collide with the layer namespace.
     pub fn name(self) -> &'static str {
         match self {
             Op::PaillierEncrypt => "paillier-encrypt-ops",
@@ -233,11 +251,6 @@ impl Op {
             Op::CandidatesEvaluated => "candidates-evaluated",
             Op::AnswerBytes => "answer-bytes",
         }
-    }
-
-    /// Inverse of [`Op::name`].
-    pub fn from_name(name: &str) -> Option<Op> {
-        Op::ALL.into_iter().find(|o| o.name() == name)
     }
 }
 
@@ -516,32 +529,21 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let total: u64 = counts.iter().sum();
+        let max_us = self.max_us.load(Ordering::Relaxed);
         // Percentile value plus that bucket's exemplar trace id.
-        let pct = |p: f64| -> (u64, u64) {
-            if total == 0 {
-                return (0, 0);
-            }
-            let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, &c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return (bucket_value(i), self.exemplars[i].load(Ordering::Relaxed));
-                }
-            }
-            (
-                bucket_value(NUM_BUCKETS - 1),
-                self.exemplars[NUM_BUCKETS - 1].load(Ordering::Relaxed),
-            )
+        let pct = |p: u64| {
+            bucket_percentile(&counts, total, p, max_us).map_or((0, 0), |(i, us)| {
+                (us, self.exemplars[i].load(Ordering::Relaxed))
+            })
         };
-        let (p50_us, p50_exemplar) = pct(50.0);
-        let (p95_us, p95_exemplar) = pct(95.0);
-        let (p99_us, p99_exemplar) = pct(99.0);
+        let (p50_us, p50_exemplar) = pct(50);
+        let (p95_us, p95_exemplar) = pct(95);
+        let (p99_us, p99_exemplar) = pct(99);
         StageSnapshot {
             name: name.to_string(),
             count: total,
             total_us: self.sum_us.load(Ordering::Relaxed),
-            max_us: self.max_us.load(Ordering::Relaxed),
+            max_us,
             p50_us,
             p95_us,
             p99_us,
@@ -552,17 +554,43 @@ impl Histogram {
     }
 }
 
+/// Nearest-rank percentile over bucket counts: the index of the bucket
+/// holding sample number ⌈p % · total⌉ (`None` when empty) and its
+/// midpoint, clamped to `max_us` — a midpoint can lie above the largest
+/// sample that landed in its bucket.
+pub(crate) fn bucket_percentile(
+    counts: &[u64],
+    total: u64,
+    p: u64,
+    max_us: u64,
+) -> Option<(usize, u64)> {
+    if total == 0 {
+        return None;
+    }
+    let rank = (p * total).div_ceil(100).max(1);
+    let mut seen = 0u64;
+    let i = counts
+        .iter()
+        .position(|&c| {
+            seen += c;
+            seen >= rank
+        })
+        .unwrap_or(counts.len() - 1);
+    Some((i, bucket_value(i).min(max_us)))
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
 struct RegistryInner {
-    stages: [Histogram; Stage::COUNT],
+    /// One histogram per histogram layer, indexed by variant.
+    stages: [Histogram; Layer::HISTOGRAMS],
     ops: [AtomicU64; Op::COUNT],
     gauges: [AtomicU64; Gauge::COUNT],
 }
 
-/// The cheap, cloneable telemetry handle: all stage histograms, op
+/// The cheap, cloneable telemetry handle: all layer histograms, op
 /// counters, and gauges behind one `Arc`.
 ///
 /// Instrumented library code reports through [`global`]; embedders that
@@ -591,43 +619,29 @@ impl MetricsRegistry {
         }
     }
 
-    /// Starts timing `stage`; the elapsed time is recorded when the
-    /// returned guard drops. Compiles to nothing under `noop`.
+    /// Records an already-measured duration against `layer`.
     #[inline]
-    pub fn time(&self, stage: Stage) -> StageTimer<'_> {
-        #[cfg(not(feature = "noop"))]
-        {
-            StageTimer {
-                registry: self,
-                stage,
-                start: Instant::now(),
-                armed: true,
-            }
-        }
-        #[cfg(feature = "noop")]
-        {
-            let _ = stage;
-            StageTimer {
-                _marker: std::marker::PhantomData,
-            }
-        }
+    pub fn record_duration(&self, layer: Layer, elapsed: Duration) {
+        self.record_us(layer, elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Records an already-measured duration against `stage`.
+    /// Records a microsecond sample against `layer` (nothing for a layer
+    /// that keeps no histogram). When a sampled trace is active on this
+    /// thread, its id becomes the landing bucket's exemplar, linking
+    /// percentiles to traces.
     #[inline]
-    pub fn record_duration(&self, stage: Stage, elapsed: Duration) {
-        self.record_us(stage, elapsed.as_micros().min(u64::MAX as u128) as u64);
+    pub fn record_us(&self, layer: Layer, us: u64) {
+        #[cfg(not(feature = "noop"))]
+        self.record_exemplar(layer, us, trace::current_trace_id());
+        #[cfg(feature = "noop")]
+        let _ = (layer, us);
     }
 
-    /// Records a microsecond sample against `stage`. When a sampled
-    /// trace is active on this thread, its id becomes the landing
-    /// bucket's exemplar, linking percentiles to traces.
-    #[inline]
-    pub fn record_us(&self, stage: Stage, us: u64) {
-        #[cfg(not(feature = "noop"))]
-        self.inner.stages[stage as usize].record_us_traced(us, trace::current_trace_id());
-        #[cfg(feature = "noop")]
-        let _ = (stage, us);
+    #[cfg(not(feature = "noop"))]
+    fn record_exemplar(&self, layer: Layer, us: u64, trace_id: u64) {
+        if let Some(h) = self.inner.stages.get(layer as usize) {
+            h.record_us_traced(us, trace_id);
+        }
     }
 
     /// Bumps an op counter by one.
@@ -655,9 +669,13 @@ impl MetricsRegistry {
         self.inner.ops[op as usize].load(Ordering::Relaxed)
     }
 
-    /// Samples recorded against a stage.
-    pub fn stage_count(&self, stage: Stage) -> u64 {
-        self.inner.stages[stage as usize].count()
+    /// Samples recorded against a layer (0 for a layer that keeps no
+    /// histogram).
+    pub fn stage_count(&self, layer: Layer) -> u64 {
+        self.inner
+            .stages
+            .get(layer as usize)
+            .map_or(0, Histogram::count)
     }
 
     /// Sets a gauge to its current point-in-time value.
@@ -685,14 +703,14 @@ impl MetricsRegistry {
         }
     }
 
-    /// Aggregates everything into one [`TelemetrySnapshot`]. Every stage
-    /// and op counter appears, including zero-count ones, so consumers
-    /// can distinguish "not exercised" from "not reported".
+    /// Aggregates everything into one [`TelemetrySnapshot`]. Every
+    /// histogram layer and op counter appears, including zero-count
+    /// ones, so consumers can distinguish "not exercised" from "not
+    /// reported".
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            stages: Stage::ALL
-                .iter()
-                .map(|&s| self.inner.stages[s as usize].snapshot(s.name()))
+            stages: Layer::histograms()
+                .map(|l| self.inner.stages[l as usize].snapshot(l.name()))
                 .collect(),
             counters: Op::ALL
                 .iter()
@@ -713,41 +731,70 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// Drop guard returned by [`MetricsRegistry::time`]; records the elapsed
-/// time against its stage on drop.
-#[must_use = "dropping the timer immediately records ~0µs"]
-pub struct StageTimer<'a> {
+/// Enters `layer` on this thread: the one way code is instrumented.
+///
+/// When the returned guard drops, the elapsed time lands in the layer's
+/// histogram in the [`global`] registry (histogram layers), and the
+/// layer's span closes on the thread's trace (traced layers, when a
+/// sampled trace was active at entry). The thread's trace slot is read
+/// once, at entry. Under the `noop` feature the guard is empty and the
+/// call compiles to nothing.
+#[inline]
+pub fn enter(layer: Layer) -> LayerGuard {
     #[cfg(not(feature = "noop"))]
-    registry: &'a MetricsRegistry,
-    #[cfg(not(feature = "noop"))]
-    stage: Stage,
-    #[cfg(not(feature = "noop"))]
-    start: Instant,
-    #[cfg(not(feature = "noop"))]
-    armed: bool,
-    #[cfg(feature = "noop")]
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl StageTimer<'_> {
-    /// Discards the measurement (error paths that should not pollute the
-    /// latency distribution).
-    pub fn discard(mut self) {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.armed = false;
+    {
+        let (trace_id, span) = trace::open_span(layer);
+        LayerGuard {
+            layer,
+            start: Instant::now(),
+            trace_id,
+            span,
         }
-        #[cfg(feature = "noop")]
-        let _ = &mut self;
+    }
+    #[cfg(feature = "noop")]
+    {
+        let _ = layer;
+        LayerGuard {}
     }
 }
 
-impl Drop for StageTimer<'_> {
+/// One extent of one layer, returned by [`enter`]; records on drop.
+#[must_use = "dropping the guard immediately closes the layer"]
+pub struct LayerGuard {
+    #[cfg(not(feature = "noop"))]
+    layer: Layer,
+    #[cfg(not(feature = "noop"))]
+    start: Instant,
+    /// The trace active at entry (0: none), the histogram exemplar.
+    #[cfg(not(feature = "noop"))]
+    trace_id: u64,
+    /// Whether entry opened a span, which the drop closes.
+    #[cfg(not(feature = "noop"))]
+    span: bool,
+}
+
+impl LayerGuard {
+    /// Attaches a redacted attribute (closed key set, `u64` value) to
+    /// this layer's span; inert when entry opened no span.
+    pub fn attr(&self, key: trace::AttrKey, value: u64) {
+        #[cfg(not(feature = "noop"))]
+        if self.span {
+            trace::attr(key, value);
+        }
+        #[cfg(feature = "noop")]
+        let _ = (key, value);
+    }
+}
+
+impl Drop for LayerGuard {
     fn drop(&mut self) {
         #[cfg(not(feature = "noop"))]
-        if self.armed {
+        {
             let us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            self.registry.record_us(self.stage, us);
+            global().record_exemplar(self.layer, us, self.trace_id);
+            if self.span {
+                trace::close_span();
+            }
         }
     }
 }
@@ -756,10 +803,10 @@ impl Drop for StageTimer<'_> {
 // Snapshot types
 // ---------------------------------------------------------------------------
 
-/// Aggregated view of one stage histogram.
+/// Aggregated view of one layer histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSnapshot {
-    /// Stable metric name ([`Stage::name`]).
+    /// Stable metric name ([`Layer::name`]).
     pub name: String,
     /// Samples recorded.
     pub count: u64,
@@ -767,7 +814,8 @@ pub struct StageSnapshot {
     pub total_us: u64,
     /// Worst sample, microseconds.
     pub max_us: u64,
-    /// Median, microseconds (bucket midpoint, ≤ 12.5 % error).
+    /// Median, microseconds (bucket midpoint clamped to `max_us`,
+    /// ≤ 12.5 % error).
     pub p50_us: u64,
     /// 95th percentile, microseconds.
     pub p95_us: u64,
@@ -1345,12 +1393,26 @@ mod tests {
         assert_eq!(s.total_us, 23);
     }
 
+    #[test]
+    fn percentiles_never_exceed_the_recorded_max() {
+        // 1067 µs lands in the [1024, 1280) bucket, whose midpoint is
+        // 1152 µs: unclamped, every percentile would read above max.
+        let h = Histogram::new();
+        h.record_us(1067);
+        let s = h.snapshot("wal-append");
+        assert_eq!(s.max_us, 1067);
+        for p in [s.p50_us, s.p95_us, s.p99_us] {
+            assert!(p <= s.max_us, "percentile {p} above max {}", s.max_us);
+        }
+        assert_eq!(s.p99_us, 1067);
+    }
+
     #[cfg(not(feature = "noop"))]
     #[test]
     fn registry_records_and_snapshots() {
         let reg = MetricsRegistry::new();
-        reg.record_us(Stage::Validate, 100);
-        reg.record_us(Stage::Validate, 200);
+        reg.record_us(Layer::Validate, 100);
+        reg.record_us(Layer::Validate, 200);
         reg.incr(Op::PaillierDot);
         reg.incr_by(Op::PaillierAdd, 5);
         reg.set_gauge(Gauge::PoolDepth, 3);
@@ -1360,7 +1422,7 @@ mod tests {
         assert_eq!(snap.counter("paillier-dot-ops"), Some(1));
         assert_eq!(snap.counter("paillier-add-ops"), Some(5));
         assert_eq!(snap.gauge("pool-depth"), Some(3));
-        assert_eq!(snap.stages.len(), Stage::COUNT);
+        assert_eq!(snap.stages.len(), Layer::HISTOGRAMS);
         reg.reset();
         assert_eq!(reg.snapshot().stage_count("validate"), 0);
         assert_eq!(reg.op_count(Op::PaillierAdd), 0);
@@ -1368,13 +1430,21 @@ mod tests {
 
     #[cfg(not(feature = "noop"))]
     #[test]
-    fn timer_records_on_drop_and_discard_does_not() {
-        let reg = MetricsRegistry::new();
+    fn guard_records_its_histogram_on_drop() {
+        // No other test in this crate enters `checkpoint` or records
+        // into the global registry's `checkpoint` histogram.
+        let before = global().stage_count(Layer::Checkpoint);
         {
-            let _t = reg.time(Stage::CandidateEval);
+            let _g = enter(Layer::Checkpoint);
+            assert_eq!(global().stage_count(Layer::Checkpoint), before);
         }
-        reg.time(Stage::CandidateEval).discard();
-        assert_eq!(reg.stage_count(Stage::CandidateEval), 1);
+        assert_eq!(global().stage_count(Layer::Checkpoint), before + 1);
+        // A span-only layer keeps no histogram: entering it records
+        // nothing, and neither does a direct sample.
+        drop(enter(Layer::SanitationPrefix));
+        global().record_us(Layer::ServerQuery, 5);
+        assert_eq!(global().stage_count(Layer::SanitationPrefix), 0);
+        assert_eq!(global().stage_count(Layer::ServerQuery), 0);
     }
 
     #[cfg(not(feature = "noop"))]
@@ -1386,28 +1456,64 @@ mod tests {
                 let reg = reg.clone();
                 s.spawn(move || {
                     for i in 0..1_000 {
-                        reg.record_us(Stage::PaillierDot, i);
+                        reg.record_us(Layer::PaillierDot, i);
                         reg.incr(Op::PaillierDot);
                     }
                 });
             }
         });
-        assert_eq!(reg.stage_count(Stage::PaillierDot), 4_000);
+        assert_eq!(reg.stage_count(Layer::PaillierDot), 4_000);
         assert_eq!(reg.op_count(Op::PaillierDot), 4_000);
     }
 
+    /// Pins the one layer table: every histogram name and order (the
+    /// `Stats`, `--stats-json`, `BENCH_server.json` and `/metrics`
+    /// faces) and every span wire tag (`TraceReply`).
     #[test]
-    fn stage_names_round_trip() {
-        for s in Stage::ALL {
-            assert_eq!(Stage::from_name(s.name()), Some(s));
+    fn layer_table_is_golden() {
+        for (i, (layer, name, histogram, tag)) in Layer::TABLE.into_iter().enumerate() {
+            assert_eq!(layer as usize, i, "{name} is out of place");
+            assert_eq!(
+                (layer.name(), layer.keeps_histogram(), layer.tag()),
+                (name, histogram, tag)
+            );
+            assert_eq!(histogram, i < Layer::HISTOGRAMS, "{name}");
         }
-        assert_eq!(Stage::from_name("nope"), None);
+        let report_order = "client-plan client-encode wire-encode wire-decode validate \
+            candidate-eval paillier-encrypt paillier-decrypt paillier-dot private-selection \
+            sanitation end-to-end serve-query index-mutate invalidate-scan fanout-notify \
+            wal-append checkpoint recover-replay shape-pad latency-hold";
+        let histograms: Vec<&str> = Layer::histograms().map(Layer::name).collect();
+        assert_eq!(
+            histograms,
+            report_order.split_whitespace().collect::<Vec<_>>()
+        );
+        // Span tags 1..=20 in order; no other tag names a layer (the
+        // decoder refuses them: `trace::tests::decode_refuses_unassigned_tags`).
+        let tag_order = "client-query client-plan client-encode wire-encode wire-decode \
+            server-query validate candidate-eval paillier-encrypt paillier-decrypt \
+            paillier-dot private-selection sanitation sanitation-prefix index-mutate \
+            invalidate-scan fanout-notify wal-append checkpoint recover-replay";
+        let spans: Vec<&str> = (0..=u8::MAX)
+            .filter_map(|tag| Layer::from_tag(tag).map(Layer::name))
+            .collect();
+        assert_eq!(spans, tag_order.split_whitespace().collect::<Vec<_>>());
+        for (i, name) in spans.iter().enumerate() {
+            assert_eq!(Layer::from_tag(i as u8 + 1).map(Layer::name), Some(*name));
+        }
+        // Layer names never collide with the op counters or per-server
+        // metrics that share a snapshot with them.
+        for (layer, name, _, _) in Layer::TABLE {
+            assert!(Op::ALL.iter().all(|o| o.name() != name), "{layer:?}");
+            assert!(ServerMetric::TABLE.iter().all(|m| m.1 != name), "{layer:?}");
+            assert!(Gauge::ALL.iter().all(|g| g.name() != name), "{layer:?}");
+        }
     }
 
     #[test]
     fn snapshot_binary_round_trip() {
         let reg = MetricsRegistry::new();
-        reg.record_us(Stage::EndToEnd, 12_345);
+        reg.record_us(Layer::EndToEnd, 12_345);
         reg.incr_by(Op::PaillierScalarMul, 7);
         let mut snap = reg.snapshot();
         snap.push_counter(ServerMetric::QueriesOk.name(), 42);
@@ -1423,8 +1529,8 @@ mod tests {
         snap.push_counter("accepted", 17);
         let json = snap.to_json();
         assert!(json.starts_with(r#"{"stages":["#));
-        for stage in Stage::ALL {
-            assert!(json.contains(&format!(r#""name":"{}""#, stage.name())));
+        for layer in Layer::histograms() {
+            assert!(json.contains(&format!(r#""name":"{}""#, layer.name())));
         }
         assert!(json.contains(r#"{"name":"accepted","value":17}"#));
         assert!(json.contains(r#""gauges":["#));
@@ -1448,10 +1554,10 @@ mod tests {
     #[test]
     fn fill_missing_overlays_only_empty_stages() {
         let local = MetricsRegistry::new();
-        local.record_us(Stage::ClientPlan, 10);
+        local.record_us(Layer::ClientPlan, 10);
         let remote = MetricsRegistry::new();
-        remote.record_us(Stage::Validate, 20);
-        remote.record_us(Stage::ClientPlan, 999);
+        remote.record_us(Layer::Validate, 20);
+        remote.record_us(Layer::ClientPlan, 999);
         let mut merged = remote.snapshot();
         merged.fill_missing_stages_from(&local.snapshot());
         // Remote's validate kept, remote's client-plan NOT overwritten.
@@ -1470,10 +1576,11 @@ mod tests {
             assert_eq!(metric.name(), name);
             assert_eq!(metric.is_gauge(), i >= ServerMetric::QueueDepth as usize);
         }
-        // Stage, op and process-gauge names never collide with the
-        // per-server names that share a snapshot with them.
+        // Op and process-gauge names never collide with the per-server
+        // names that share a snapshot with them (layers: see the layer
+        // table's golden test).
         for (_, name) in ServerMetric::TABLE {
-            assert!(Stage::from_name(name).is_none() && Op::from_name(name).is_none());
+            assert!(Op::ALL.iter().all(|o| o.name() != name));
             assert!(Gauge::ALL.iter().all(|g| g.name() != name));
         }
     }
@@ -1540,14 +1647,15 @@ mod tests {
     #[test]
     fn noop_records_nothing() {
         let reg = MetricsRegistry::new();
-        reg.record_us(Stage::Validate, 100);
+        reg.record_us(Layer::Validate, 100);
         reg.incr(Op::PaillierDot);
         {
-            let _t = reg.time(Stage::Validate);
+            let _g = enter(Layer::Validate);
         }
-        assert_eq!(reg.stage_count(Stage::Validate), 0);
+        assert_eq!(reg.stage_count(Layer::Validate), 0);
+        assert_eq!(global().stage_count(Layer::Validate), 0);
         assert_eq!(reg.op_count(Op::PaillierDot), 0);
-        // Snapshots stay well-formed: every stage present, all zero.
-        assert_eq!(reg.snapshot().stages.len(), Stage::COUNT);
+        // Snapshots stay well-formed: every layer present, all zero.
+        assert_eq!(reg.snapshot().stages.len(), Layer::HISTOGRAMS);
     }
 }

@@ -1,7 +1,7 @@
 //! OpenMetrics text rendering for the `/metrics` scrape endpoint.
 //!
-//! Everything a scraper sees here is drawn from closed enums: stage,
-//! op, and gauge names come from [`Stage::name`]/[`Op::name`]/
+//! Everything a scraper sees here is drawn from closed enums: layer,
+//! op, and gauge names come from [`Layer::name`]/[`Op::name`]/
 //! [`Gauge::name`], service-event and server-gauge names from
 //! [`ServerMetric::TABLE`], cost-constant names from the fixed list in
 //! [`cost_constants`]. Values are integers (µs, ns, counts, permille) —
@@ -14,7 +14,7 @@
 //! line per family, counter samples suffixed `_total`, a final `# EOF`.
 
 use crate::window::WindowedSnapshot;
-use crate::{Op, ServerMetric, Stage, TelemetrySnapshot};
+use crate::{Layer, Op, ServerMetric, TelemetrySnapshot};
 
 /// One SLO burn-rate sample for the `ppgnn_slo_burn_permille` family.
 #[derive(Debug, Clone, Copy)]
@@ -75,35 +75,35 @@ fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
 /// count, so it is the window mean by construction; constants whose
 /// count stayed zero are left out.
 pub fn cost_constants(w: &WindowedSnapshot) -> Vec<(&'static str, u64, u64)> {
-    let ns = |s: Stage| {
-        w.stage(s.name())
+    let ns = |l: Layer| {
+        w.stage(l.name())
             .map_or(0, |x| x.total_us.saturating_mul(1000))
     };
     let ops = |o: Op| w.counter(o.name()).unwrap_or(0);
     [
         (
             "paillier-encrypt-ns",
-            ns(Stage::PaillierEncrypt),
+            ns(Layer::PaillierEncrypt),
             ops(Op::PaillierEncrypt),
         ),
         (
             "paillier-decrypt-ns",
-            ns(Stage::PaillierDecrypt),
+            ns(Layer::PaillierDecrypt),
             ops(Op::PaillierDecrypt),
         ),
         (
             "paillier-dot-ns",
-            ns(Stage::PaillierDot),
+            ns(Layer::PaillierDot),
             ops(Op::PaillierDot),
         ),
         (
             "paillier-dot-element-ns",
-            ns(Stage::PaillierDot),
+            ns(Layer::PaillierDot),
             ops(Op::PaillierDotElements),
         ),
         (
             "sanitation-z-test-ns",
-            ns(Stage::Sanitation),
+            ns(Layer::Sanitation),
             ops(Op::SanitationZTest),
         ),
         (
@@ -341,8 +341,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         #[cfg(not(feature = "noop"))]
         {
-            reg.record_us(Stage::EndToEnd, 30_000);
-            reg.record_us(Stage::PaillierDot, 40);
+            reg.record_us(Layer::EndToEnd, 30_000);
+            reg.record_us(Layer::PaillierDot, 40);
             reg.incr(Op::PaillierDot);
         }
         let mut ring = WindowRing::new(Duration::from_secs(1), 4);

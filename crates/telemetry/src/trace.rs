@@ -13,13 +13,12 @@
 //! a span named after a POI, or an attribute holding a coordinate, would
 //! undo the protocol's guarantees for anyone who can read the trace
 //! buffer. Redaction is therefore enforced at span-creation time by the
-//! type system, not by a scrubbing pass: span names come from the closed
-//! [`SpanName`] enum, attribute keys from the closed [`AttrKey`] enum,
-//! and attribute values are bare `u64` sizes/counts/durations. There is
-//! no API through which a coordinate, POI id, dummy index, or plaintext
-//! distance can enter a trace. The debug-only `unredacted` cargo feature
-//! adds a free-form `note` escape hatch for local reproduction; it is a
-//! compile error to enable it in a release build.
+//! type system, not by a scrubbing pass: spans open only through
+//! [`crate::enter`] and are named by the closed [`Layer`] table,
+//! attribute keys come from the closed [`AttrKey`] enum, and attribute
+//! values are bare `u64` sizes/counts/durations. There is no API through
+//! which a coordinate, POI id, dummy index, or plaintext distance can
+//! enter a trace.
 //!
 //! ## Tail-based sampling
 //!
@@ -39,13 +38,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json;
-use crate::{splitmix64, Cursor, Op, SnapshotDecodeError};
-
-#[cfg(all(feature = "unredacted", not(debug_assertions)))]
-compile_error!(
-    "the `unredacted` tracing feature is a debug-only escape hatch; \
-     release builds must not carry unredacted span notes"
-);
+use crate::{splitmix64, Cursor, Layer, Op, SnapshotDecodeError};
 
 // ---------------------------------------------------------------------------
 // TraceContext — the 16-byte wire header
@@ -156,112 +149,8 @@ impl TraceContext {
 }
 
 // ---------------------------------------------------------------------------
-// Redacted span vocabulary
+// Redacted attribute vocabulary
 // ---------------------------------------------------------------------------
-
-/// The closed set of span names. Spans can only be named from this
-/// list — that, plus [`AttrKey`], is the redaction guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum SpanName {
-    /// Client root: one whole query (plan → answer decode).
-    ClientQuery = 1,
-    /// Algorithm 1 client planning.
-    ClientPlan = 2,
-    /// Client request assembly (payload bytes).
-    ClientEncode = 3,
-    /// `to_wire` of a protocol message.
-    WireEncode = 4,
-    /// `from_wire` of a protocol message.
-    WireDecode = 5,
-    /// Server root: one query as seen by the LSP.
-    ServerQuery = 6,
-    /// Server validation gate.
-    Validate = 7,
-    /// LSP candidate evaluation loop.
-    CandidateEval = 8,
-    /// Damgård–Jurik encryption batch.
-    PaillierEncrypt = 9,
-    /// Damgård–Jurik decryption batch.
-    PaillierDecrypt = 10,
-    /// Homomorphic dot product batch.
-    PaillierDot = 11,
-    /// Private selection (`A ⨂ [v]` + OPT outer phase).
-    PrivateSelection = 12,
-    /// Answer sanitation (`safe_prefix_len`).
-    Sanitation = 13,
-    /// One prefix length's Z-test pass inside sanitation.
-    SanitationPrefix = 14,
-    /// Dynamic-index mutation (`PoiUpdate` batch apply + republish).
-    IndexMutate = 15,
-    /// Subscription safe-region scan after a mutation.
-    InvalidateScan = 16,
-    /// Re-plan notification fanout to invalidated subscribers.
-    FanoutNotify = 17,
-    /// One WAL record append (encode + write + policy fsync).
-    WalAppend = 18,
-    /// One durable checkpoint write plus WAL rotation.
-    Checkpoint = 19,
-    /// Startup recovery: checkpoint load plus WAL tail replay.
-    RecoverReplay = 20,
-}
-
-impl SpanName {
-    /// Every span name, in tag order.
-    pub const ALL: [SpanName; 20] = [
-        SpanName::ClientQuery,
-        SpanName::ClientPlan,
-        SpanName::ClientEncode,
-        SpanName::WireEncode,
-        SpanName::WireDecode,
-        SpanName::ServerQuery,
-        SpanName::Validate,
-        SpanName::CandidateEval,
-        SpanName::PaillierEncrypt,
-        SpanName::PaillierDecrypt,
-        SpanName::PaillierDot,
-        SpanName::PrivateSelection,
-        SpanName::Sanitation,
-        SpanName::SanitationPrefix,
-        SpanName::IndexMutate,
-        SpanName::InvalidateScan,
-        SpanName::FanoutNotify,
-        SpanName::WalAppend,
-        SpanName::Checkpoint,
-        SpanName::RecoverReplay,
-    ];
-
-    /// The stable kebab-case name (JSON, Chrome trace, terminal tree).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanName::ClientQuery => "client-query",
-            SpanName::ClientPlan => "client-plan",
-            SpanName::ClientEncode => "client-encode",
-            SpanName::WireEncode => "wire-encode",
-            SpanName::WireDecode => "wire-decode",
-            SpanName::ServerQuery => "server-query",
-            SpanName::Validate => "validate",
-            SpanName::CandidateEval => "candidate-eval",
-            SpanName::PaillierEncrypt => "paillier-encrypt",
-            SpanName::PaillierDecrypt => "paillier-decrypt",
-            SpanName::PaillierDot => "paillier-dot",
-            SpanName::PrivateSelection => "private-selection",
-            SpanName::Sanitation => "sanitation",
-            SpanName::SanitationPrefix => "sanitation-prefix",
-            SpanName::IndexMutate => "index-mutate",
-            SpanName::InvalidateScan => "invalidate-scan",
-            SpanName::FanoutNotify => "fanout-notify",
-            SpanName::WalAppend => "wal-append",
-            SpanName::Checkpoint => "checkpoint",
-            SpanName::RecoverReplay => "recover-replay",
-        }
-    }
-
-    /// Wire tag → span name.
-    pub fn from_tag(tag: u8) -> Option<SpanName> {
-        SpanName::ALL.into_iter().find(|s| *s as u8 == tag)
-    }
-}
 
 /// The closed set of span attribute keys. Values are always bare
 /// `u64` sizes, counts, or durations — never identifiers of user data.
@@ -366,20 +255,14 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// Parent span id within this segment; 0 marks the segment root.
     pub parent_id: u64,
-    /// Redacted name.
-    pub name: SpanName,
+    /// Redacted name: always a traced layer ([`Layer::tag`] is set).
+    pub name: Layer,
     /// Start, microseconds since the process trace epoch.
     pub start_us: u64,
     /// Duration, microseconds.
     pub dur_us: u64,
-    /// Whether this span (or the whole query, for roots) errored.
-    pub error: bool,
     /// Redacted attributes (sizes, counts — never user data).
     pub attrs: Vec<(AttrKey, u64)>,
-    /// Free-form debug note; only exists under the debug-only
-    /// `unredacted` feature and never crosses the wire.
-    #[cfg(feature = "unredacted")]
-    pub note: String,
 }
 
 /// One process's half of a trace: every span the process recorded for
@@ -426,13 +309,10 @@ impl TraceSegment {
 struct OpenSpan {
     span_id: u64,
     parent_id: u64,
-    name: SpanName,
+    name: Layer,
     start_us: u64,
     start: Instant,
-    error: bool,
     attrs: Vec<(AttrKey, u64)>,
-    #[cfg(feature = "unredacted")]
-    note: String,
 }
 
 struct ActiveTrace {
@@ -462,10 +342,7 @@ impl ActiveTrace {
             name: top.name,
             start_us: top.start_us,
             dur_us: top.start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            error: top.error,
             attrs: top.attrs,
-            #[cfg(feature = "unredacted")]
-            note: top.note,
         });
     }
 }
@@ -661,7 +538,7 @@ impl Tracer {
             trace_id,
             SegmentOrigin::Client,
             0,
-            SpanName::ClientQuery,
+            Layer::ClientQuery,
             root_span,
         );
         (ctx, Some(handle))
@@ -678,7 +555,7 @@ impl Tracer {
             ctx.trace_id(),
             SegmentOrigin::Server,
             ctx.parent_span(),
-            SpanName::ServerQuery,
+            Layer::ServerQuery,
             next_id(),
         ))
     }
@@ -688,7 +565,7 @@ impl Tracer {
         trace_id: u64,
         origin: SegmentOrigin,
         parent_span: u64,
-        root_name: SpanName,
+        root_name: Layer,
         root_span: u64,
     ) -> TraceHandle {
         let root = OpenSpan {
@@ -697,10 +574,7 @@ impl Tracer {
             name: root_name,
             start_us: epoch_us(),
             start: Instant::now(),
-            error: false,
             attrs: Vec::new(),
-            #[cfg(feature = "unredacted")]
-            note: String::new(),
         };
         let at = ActiveTrace {
             tracer: self.clone(),
@@ -797,7 +671,7 @@ pub fn global() -> &'static Tracer {
 }
 
 // ---------------------------------------------------------------------------
-// TraceHandle / ActiveScope / SpanScope
+// TraceHandle / ActiveScope / layer spans
 // ---------------------------------------------------------------------------
 
 /// Owner of one in-flight segment. `Send`, so the server can carry it
@@ -810,7 +684,7 @@ pub struct TraceHandle {
 
 impl TraceHandle {
     /// Installs the segment as this thread's active trace; recording
-    /// APIs ([`span`], [`mark_error`], op attribution) apply to it until
+    /// APIs ([`crate::enter`], [`mark_error`], op attribution) apply to it until
     /// the returned scope drops, which parks the segment back in the
     /// handle so it can move to another thread or finish.
     pub fn activate(&self) -> ActiveScope {
@@ -870,107 +744,46 @@ impl Drop for ActiveScope {
     }
 }
 
-/// Opens a child span under the thread's active trace. Inert (a single
-/// thread-local check) when no trace is active, so instrumented code
-/// calls this unconditionally.
-pub fn span(name: SpanName) -> SpanScope {
-    #[cfg(feature = "noop")]
-    {
-        let _ = name;
-        SpanScope { armed: false }
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        let armed = ACTIVE.with(|a| {
-            let mut a = a.borrow_mut();
-            let Some(at) = a.as_mut() else { return false };
+/// Opens `layer`'s span under the thread's active trace, for a traced
+/// layer. Returns the active trace id (0: none) and whether a span was
+/// opened — one thread-local access, the entry half of [`crate::enter`].
+#[cfg(not(feature = "noop"))]
+pub(crate) fn open_span(layer: Layer) -> (u64, bool) {
+    ACTIVE.with(|a| {
+        let mut a = a.borrow_mut();
+        let Some(at) = a.as_mut() else {
+            return (0, false);
+        };
+        let traced = layer.tag().is_some();
+        if traced {
             let parent_id = at.open.last().map(|o| o.span_id).unwrap_or(0);
             at.open.push(OpenSpan {
                 span_id: next_id(),
                 parent_id,
-                name,
+                name: layer,
                 start_us: epoch_us(),
                 start: Instant::now(),
-                error: false,
                 attrs: Vec::new(),
-                #[cfg(feature = "unredacted")]
-                note: String::new(),
             });
-            true
-        });
-        SpanScope { armed }
-    }
+        }
+        (at.trace_id, traced)
+    })
 }
 
-/// Guard for one open span; records the span on drop.
-#[must_use = "dropping the span scope immediately closes the span"]
-pub struct SpanScope {
-    armed: bool,
-}
-
-impl SpanScope {
-    /// Attaches a redacted attribute (closed key set, `u64` value) to
-    /// the open span.
-    pub fn attr(&self, key: AttrKey, value: u64) {
-        if !self.armed {
-            return;
+/// Closes the innermost open span — the exit half of [`crate::enter`]
+/// for a guard that opened one.
+#[cfg(not(feature = "noop"))]
+pub(crate) fn close_span() {
+    ACTIVE.with(|a| {
+        if let Some(at) = a.borrow_mut().as_mut() {
+            at.close_top();
         }
-        ACTIVE.with(|a| {
-            if let Some(at) = a.borrow_mut().as_mut() {
-                if let Some(top) = at.open.last_mut() {
-                    top.attrs.push((key, value));
-                }
-            }
-        });
-    }
-
-    /// Flags the open span as errored.
-    pub fn set_error(&self) {
-        if !self.armed {
-            return;
-        }
-        ACTIVE.with(|a| {
-            if let Some(at) = a.borrow_mut().as_mut() {
-                if let Some(top) = at.open.last_mut() {
-                    top.error = true;
-                }
-            }
-        });
-    }
-
-    /// Attaches a free-form debug note. Debug builds only; notes never
-    /// cross the wire and the feature is a compile error in release.
-    #[cfg(feature = "unredacted")]
-    pub fn note(&self, text: &str) {
-        if !self.armed {
-            return;
-        }
-        ACTIVE.with(|a| {
-            if let Some(at) = a.borrow_mut().as_mut() {
-                if let Some(top) = at.open.last_mut() {
-                    top.note.push_str(text);
-                }
-            }
-        });
-    }
-}
-
-impl Drop for SpanScope {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        ACTIVE.with(|a| {
-            if let Some(at) = a.borrow_mut().as_mut() {
-                at.close_top();
-            }
-        });
-    }
+    });
 }
 
 /// Attaches a redacted attribute to the innermost open span of the
 /// thread's active trace — the segment root when no child span is open.
-/// Inert without an active trace, like [`span`].
+/// Inert without an active trace.
 pub fn attr(key: AttrKey, value: u64) {
     ACTIVE.with(|a| {
         if let Some(at) = a.borrow_mut().as_mut() {
@@ -1058,8 +871,11 @@ fn encode_segment(out: &mut Vec<u8>, seg: &TraceSegment) {
     for s in seg.spans.iter().take(n_spans) {
         out.extend_from_slice(&s.span_id.to_be_bytes());
         out.extend_from_slice(&s.parent_id.to_be_bytes());
-        out.push(s.name as u8);
-        out.push(s.error as u8);
+        // A recorded span always names a traced layer; 0 is no tag.
+        out.push(s.name.tag().unwrap_or(0));
+        // The span error byte: spans carry no outcome of their own (the
+        // segment does), so it is always 0.
+        out.push(0);
         out.extend_from_slice(&s.start_us.to_be_bytes());
         out.extend_from_slice(&s.dur_us.to_be_bytes());
         let n_attrs = s.attrs.len().min(MAX_WIRE_ATTRS);
@@ -1133,12 +949,10 @@ pub fn decode_segments(buf: &[u8]) -> Result<Vec<TraceSegment>, SnapshotDecodeEr
             let span_id = cur.u64()?;
             let parent_id = cur.u64()?;
             let name =
-                SpanName::from_tag(cur.u8()?).ok_or(SnapshotDecodeError("bad span name tag"))?;
-            let error = match cur.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotDecodeError("bad span error flag")),
-            };
+                Layer::from_tag(cur.u8()?).ok_or(SnapshotDecodeError("bad span name tag"))?;
+            if cur.u8()? > 1 {
+                return Err(SnapshotDecodeError("bad span error flag"));
+            }
             let start_us = cur.u64()?;
             let dur_us = cur.u64()?;
             let n_attrs = cur.u8()? as usize;
@@ -1157,10 +971,7 @@ pub fn decode_segments(buf: &[u8]) -> Result<Vec<TraceSegment>, SnapshotDecodeEr
                 name,
                 start_us,
                 dur_us,
-                error,
                 attrs,
-                #[cfg(feature = "unredacted")]
-                note: String::new(),
             });
         }
         segments.push(TraceSegment {
@@ -1263,9 +1074,6 @@ pub fn chrome_trace_json(segments: &[TraceSegment]) -> String {
             for &(k, v) in &s.attrs {
                 args.field_u64(k.name(), v);
             }
-            if s.error {
-                args.field_bool("error", true);
-            }
             if s.parent_id == 0 {
                 // Root span: per-query op counts and outcome flags.
                 for op in Op::ALL {
@@ -1297,7 +1105,10 @@ pub fn chrome_trace_json(segments: &[TraceSegment]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "noop"))]
+    use crate::enter;
 
+    #[cfg(not(feature = "noop"))]
     fn enabled_tracer(keep_permille: u32, slow_us: u64) -> Tracer {
         let t = Tracer::new();
         t.configure(&TracerConfig {
@@ -1351,15 +1162,37 @@ mod tests {
 
     #[test]
     fn tag_round_trips() {
-        for s in SpanName::ALL {
-            assert_eq!(SpanName::from_tag(s as u8), Some(s));
+        for (layer, _, _, tag) in Layer::TABLE {
+            if let Some(tag) = tag {
+                assert_eq!(Layer::from_tag(tag), Some(layer));
+            }
         }
-        assert_eq!(SpanName::from_tag(0), None);
-        assert_eq!(SpanName::from_tag(0xff), None);
+        assert_eq!(Layer::from_tag(0), None);
+        assert_eq!(Layer::from_tag(0xff), None);
         for k in AttrKey::ALL {
             assert_eq!(AttrKey::from_tag(k as u8), Some(k));
         }
         assert_eq!(AttrKey::from_tag(0), None);
+    }
+
+    #[cfg(not(feature = "noop"))]
+    #[test]
+    fn decode_refuses_unassigned_tags() {
+        let t = enabled_tracer(1000, u64::MAX);
+        let (_, h) = t.start();
+        h.unwrap().finish();
+        let mut bytes = encode_segments(&t.segments(), usize::MAX);
+        // The root span is the last record: its tag precedes the error
+        // flag, start, duration and (empty) attribute count.
+        let at = bytes.len() - (1 + 1 + 8 + 8 + 1);
+        assert_eq!(bytes[at], 1, "client-query");
+        for tag in 0..=u8::MAX {
+            bytes[at] = tag;
+            match Layer::from_tag(tag) {
+                Some(layer) => assert_eq!(decode_segments(&bytes).unwrap()[0].spans[0].name, layer),
+                None => assert!(decode_segments(&bytes).is_err(), "tag {tag} decoded"),
+            }
+        }
     }
 
     #[cfg(not(feature = "noop"))]
@@ -1371,10 +1204,14 @@ mod tests {
         let handle = handle.unwrap();
         {
             let _active = handle.activate();
-            let outer = span(SpanName::CandidateEval);
+            let outer = enter(Layer::CandidateEval);
             outer.attr(AttrKey::Candidates, 42);
             {
-                let _inner = span(SpanName::PaillierDot);
+                let _inner = enter(Layer::PaillierDot);
+                // A histogram-only layer opens no span, so its attrs
+                // land nowhere.
+                let hold = enter(Layer::LatencyHold);
+                hold.attr(AttrKey::Bytes, 7);
             }
             drop(outer);
         }
@@ -1389,19 +1226,36 @@ mod tests {
         let names: Vec<_> = seg.spans.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
-            vec![
-                SpanName::PaillierDot,
-                SpanName::CandidateEval,
-                SpanName::ClientQuery
-            ]
+            vec![Layer::PaillierDot, Layer::CandidateEval, Layer::ClientQuery]
         );
         let root = seg.root().unwrap();
-        assert_eq!(root.name, SpanName::ClientQuery);
+        assert_eq!(root.name, Layer::ClientQuery);
         assert_eq!(root.parent_id, 0);
         let outer = &seg.spans[1];
         assert_eq!(outer.parent_id, root.span_id);
         assert_eq!(outer.attrs, vec![(AttrKey::Candidates, 42)]);
         assert_eq!(seg.spans[0].parent_id, outer.span_id);
+        assert!(seg.spans[0].attrs.is_empty());
+    }
+
+    #[cfg(not(feature = "noop"))]
+    #[test]
+    fn guard_links_its_histogram_sample_to_the_trace() {
+        let t = enabled_tracer(1000, u64::MAX);
+        let (ctx, handle) = t.start();
+        let handle = handle.unwrap();
+        {
+            let _active = handle.activate();
+            // Only this test enters `recover-replay` in this crate.
+            let _g = enter(Layer::RecoverReplay);
+        }
+        handle.finish();
+        let seg = &t.segments()[0];
+        assert_eq!(seg.spans[0].name, Layer::RecoverReplay);
+        let snap = crate::global().snapshot();
+        let hist = snap.stage("recover-replay").unwrap();
+        assert_eq!(hist.count, 1);
+        assert_eq!(hist.p50_exemplar, ctx.trace_id());
     }
 
     #[cfg(not(feature = "noop"))]
@@ -1412,7 +1266,7 @@ mod tests {
         let server = t.resume(&ctx).unwrap();
         {
             let _active = server.activate();
-            let _v = span(SpanName::Validate);
+            let _v = enter(Layer::Validate);
         }
         server.finish();
         client.unwrap().finish();
@@ -1428,7 +1282,7 @@ mod tests {
             .unwrap();
         assert_eq!(srv.trace_id, cli.trace_id);
         assert_eq!(srv.parent_span, cli.root().unwrap().span_id);
-        assert_eq!(srv.root().unwrap().name, SpanName::ServerQuery);
+        assert_eq!(srv.root().unwrap().name, Layer::ServerQuery);
     }
 
     #[cfg(not(feature = "noop"))]
@@ -1517,7 +1371,7 @@ mod tests {
         {
             let _active = h.activate();
             for _ in 0..5 {
-                let _s = span(SpanName::SanitationPrefix);
+                let _s = enter(Layer::SanitationPrefix);
             }
         }
         h.finish();
@@ -1553,7 +1407,7 @@ mod tests {
         assert!(h.is_none());
         let on = enabled_tracer(1000, 0);
         assert!(on.resume(&ctx).is_none());
-        let _inert = span(SpanName::Validate); // no active trace: inert
+        let _inert = enter(Layer::Validate); // no active trace: no span
         assert!(on.segments().is_empty());
     }
 
@@ -1565,11 +1419,11 @@ mod tests {
         let server = t.resume(&ctx).unwrap();
         {
             let _active = server.activate();
-            let s = span(SpanName::Sanitation);
+            let s = enter(Layer::Sanitation);
             s.attr(AttrKey::PrefixLen, 3);
             s.attr(AttrKey::Survivors, 2);
-            s.set_error();
             drop(s);
+            mark_error();
             record_op(Op::SanitationZTest, 5);
             mark_shed();
         }
@@ -1620,7 +1474,7 @@ mod tests {
         let server = t.resume(&ctx).unwrap();
         {
             let _active = server.activate();
-            let s = span(SpanName::CandidateEval);
+            let s = enter(Layer::CandidateEval);
             s.attr(AttrKey::Candidates, 12);
             drop(s);
             record_op(Op::PaillierDot, 12);
@@ -1644,9 +1498,9 @@ mod tests {
 
     #[test]
     fn span_names_and_attr_keys_are_benign() {
-        // The redaction allowlist: names are kebab-case stage/op words,
+        // The redaction allowlist: names are kebab-case layer/op words,
         // no digits, no user-data-shaped tokens.
-        for n in SpanName::ALL.iter().map(|s| s.name()) {
+        for n in Layer::TABLE.iter().map(|row| row.1) {
             assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '-'));
         }
         for k in AttrKey::ALL.iter().map(|k| k.name()) {

@@ -4,11 +4,11 @@
 //! process done since boot"; operators and the adaptive planner need
 //! "what is it doing *now*". This module adds that lens without touching
 //! the wait-free record path: a [`WindowRing`] holds per-interval
-//! **deltas** of every stage histogram and counter, captured by an
+//! **deltas** of every layer histogram and counter, captured by an
 //! externally driven [`WindowRing::tick`] (the server runs one
 //! deadline-anchored ticker thread at 1 Hz). Aggregating the last *n*
-//! intervals yields windowed [`StageSnapshot`]s, per-second rates, and
-//! the [`WindowedSnapshot`] JSON face.
+//! intervals yields a [`WindowedSnapshot`]: windowed [`StageSnapshot`]s,
+//! counter deltas, per-second rates and the latest gauges.
 //!
 //! Because buckets are fixed and deltas are plain subtraction, a tick is
 //! O(stages × buckets) ≈ 3k relaxed loads — microseconds of work per
@@ -29,8 +29,8 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crate::{
-    bucket_value, json, CounterSnapshot, Gauge, MetricsRegistry, Op, ServerMetric, Stage,
-    StageSnapshot, NUM_BUCKETS,
+    bucket_percentile, bucket_value, CounterSnapshot, Gauge, Layer, MetricsRegistry, Op,
+    ServerMetric, StageSnapshot, NUM_BUCKETS,
 };
 
 /// Default tick interval: one second.
@@ -67,7 +67,8 @@ struct StageDelta {
 
 /// Everything that happened during one tick interval.
 struct Interval {
-    /// Indexed like [`Stage::ALL`]; `None` = no samples that interval.
+    /// Indexed like [`Layer::histograms`]; `None` = no samples that
+    /// interval.
     stages: Vec<Option<StageDelta>>,
     /// Op-counter deltas, indexed like [`Op::ALL`].
     ops: [u64; Op::COUNT],
@@ -101,7 +102,7 @@ impl WindowRing {
         WindowRing {
             interval: interval.max(Duration::from_millis(1)),
             capacity: capacity.max(1),
-            stage_base: (0..Stage::COUNT).map(|_| StageBase::zero()).collect(),
+            stage_base: (0..Layer::HISTOGRAMS).map(|_| StageBase::zero()).collect(),
             op_base: [0; Op::COUNT],
             server_base: [0; ServerMetric::COUNT],
             ring: VecDeque::new(),
@@ -129,10 +130,8 @@ impl WindowRing {
     /// server; current for gauges; `None` where the server does not
     /// carry the metric).
     pub fn tick(&mut self, reg: &MetricsRegistry, server: &[Option<u64>; ServerMetric::COUNT]) {
-        let mut stages: Vec<Option<StageDelta>> = Vec::with_capacity(Stage::COUNT);
-        for (si, stage) in Stage::ALL.iter().enumerate() {
-            let hist = &reg.inner.stages[*stage as usize];
-            let base = &mut self.stage_base[si];
+        let mut stages: Vec<Option<StageDelta>> = Vec::with_capacity(Layer::HISTOGRAMS);
+        for (hist, base) in reg.inner.stages.iter().zip(&mut self.stage_base) {
             let count = hist.count.load(Ordering::Relaxed);
             let sum_us = hist.sum_us.load(Ordering::Relaxed);
             let d_count = count.saturating_sub(base.count);
@@ -208,8 +207,8 @@ impl WindowRing {
         let interval_ms = self.interval.as_millis().min(u64::MAX as u128) as u64;
         let window_ms = interval_ms * n as u64;
 
-        let mut stages = Vec::with_capacity(Stage::COUNT);
-        for (si, stage) in Stage::ALL.iter().enumerate() {
+        let mut stages = Vec::with_capacity(Layer::HISTOGRAMS);
+        for (si, layer) in Layer::histograms().enumerate() {
             let mut buckets = vec![0u64; NUM_BUCKETS];
             let mut count = 0u64;
             let mut sum_us = 0u64;
@@ -222,7 +221,7 @@ impl WindowRing {
                     }
                 }
             }
-            stages.push(snapshot_from_buckets(stage.name(), &buckets, count, sum_us));
+            stages.push(snapshot_from_buckets(layer.name(), &buckets, count, sum_us));
         }
 
         let mut counters = Vec::with_capacity(Op::COUNT + ServerMetric::COUNT);
@@ -267,21 +266,21 @@ impl WindowRing {
         }
     }
 
-    /// `(over, total)` sample counts for `stage` in the newest
+    /// `(over, total)` sample counts for `layer` in the newest
     /// `intervals` intervals, where `over` counts samples whose bucket
     /// midpoint exceeds `threshold_us`. Bucket granularity makes the
-    /// threshold fuzzy by ≤ 12.5 % — fine for SLO burn accounting.
+    /// threshold fuzzy by ≤ 12.5 % — fine for SLO burn accounting. A
+    /// layer that keeps no histogram has no samples.
     pub fn stage_over_threshold(
         &self,
-        stage: Stage,
+        layer: Layer,
         intervals: usize,
         threshold_us: u64,
     ) -> (u64, u64) {
-        let si = stage as usize;
         let mut over = 0u64;
         let mut total = 0u64;
         for iv in self.window(intervals) {
-            if let Some(d) = &iv.stages[si] {
+            if let Some(Some(d)) = iv.stages.get(layer as usize) {
                 total += d.count;
                 for (i, &b) in d.buckets.iter().enumerate() {
                     if b != 0 && bucket_value(i) > threshold_us {
@@ -307,21 +306,7 @@ impl WindowRing {
 /// notion.
 fn snapshot_from_buckets(name: &str, buckets: &[u64], count: u64, sum_us: u64) -> StageSnapshot {
     let total: u64 = buckets.iter().sum();
-    let pct = |p: u64| -> u64 {
-        if total == 0 {
-            return 0;
-        }
-        // Nearest-rank on integer permille: rank = ceil(p% of total).
-        let rank = (p * total).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_value(i);
-            }
-        }
-        bucket_value(NUM_BUCKETS - 1)
-    };
+    // The window keeps no exact max: its max is the top bucket's value.
     let max_us = buckets
         .iter()
         .enumerate()
@@ -329,6 +314,7 @@ fn snapshot_from_buckets(name: &str, buckets: &[u64], count: u64, sum_us: u64) -
         .find(|(_, &c)| c != 0)
         .map(|(i, _)| bucket_value(i))
         .unwrap_or(0);
+    let pct = |p| bucket_percentile(buckets, total, p, max_us).map_or(0, |(_, us)| us);
     StageSnapshot {
         name: name.to_string(),
         count,
@@ -344,10 +330,10 @@ fn snapshot_from_buckets(name: &str, buckets: &[u64], count: u64, sum_us: u64) -
 }
 
 /// Aggregated view of the newest *n* intervals of a [`WindowRing`]:
-/// windowed stage aggregates, counter deltas, integer per-second rates,
-/// and the latest gauge values. Serialized as JSON (`/metrics` sibling
-/// faces, `windowed` section of dumps). Integer-only by construction:
-/// the closed-enum redaction model.
+/// windowed layer aggregates, counter deltas, integer per-second rates,
+/// and the latest gauge values — rendered by `/metrics` and read by the
+/// SLO burn accounting. Integer-only by construction: the closed-enum
+/// redaction model.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowedSnapshot {
     /// Tick interval, milliseconds.
@@ -384,31 +370,6 @@ impl WindowedSnapshot {
     pub fn rate(&self, name: &str) -> Option<u64> {
         self.rates.iter().find(|c| c.name == name).map(|c| c.value)
     }
-
-    /// The JSON value of this snapshot. Hand-rolled, integer-only.
-    pub fn to_json(&self) -> String {
-        let mut obj = json::Obj::new();
-        obj.field_u64("interval_ms", self.interval_ms);
-        obj.field_u64("intervals", u64::from(self.intervals));
-        obj.field_u64("window_ms", self.window_ms);
-        obj.field_raw(
-            "stages",
-            &json::arr(self.stages.iter().map(StageSnapshot::to_json)),
-        );
-        obj.field_raw(
-            "counters",
-            &json::arr(self.counters.iter().map(CounterSnapshot::to_json)),
-        );
-        obj.field_raw(
-            "rates",
-            &json::arr(self.rates.iter().map(CounterSnapshot::to_json)),
-        );
-        obj.field_raw(
-            "gauges",
-            &json::arr(self.gauges.iter().map(CounterSnapshot::to_json)),
-        );
-        obj.finish()
-    }
 }
 
 #[cfg(all(test, not(feature = "noop")))]
@@ -432,10 +393,10 @@ mod tests {
     fn deltas_cover_only_their_interval() {
         let reg = MetricsRegistry::new();
         let mut w = ring();
-        reg.record_us(Stage::Validate, 100);
-        reg.record_us(Stage::Validate, 200);
+        reg.record_us(Layer::Validate, 100);
+        reg.record_us(Layer::Validate, 200);
         w.tick(&reg, &server(&[]));
-        reg.record_us(Stage::Validate, 400);
+        reg.record_us(Layer::Validate, 400);
         w.tick(&reg, &server(&[]));
 
         // Newest interval only holds the third sample.
@@ -457,7 +418,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mut w = ring();
         for i in 0..6u64 {
-            reg.record_us(Stage::EndToEnd, 1000 + i);
+            reg.record_us(Layer::EndToEnd, 1000 + i);
             w.tick(&reg, &server(&[]));
         }
         assert_eq!(w.len(), 4);
@@ -470,7 +431,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mut w = ring();
         for us in [1u64, 2, 2, 3, 15] {
-            reg.record_us(Stage::CandidateEval, us);
+            reg.record_us(Layer::CandidateEval, us);
         }
         w.tick(&reg, &server(&[]));
         let s = w.windowed(1);
@@ -517,13 +478,13 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mut w = ring();
         for us in [10u64, 10, 10, 50_000, 60_000] {
-            reg.record_us(Stage::EndToEnd, us);
+            reg.record_us(Layer::EndToEnd, us);
         }
         w.tick(&reg, &server(&[]));
-        let (over, total) = w.stage_over_threshold(Stage::EndToEnd, 1, 20_000);
+        let (over, total) = w.stage_over_threshold(Layer::EndToEnd, 1, 20_000);
         assert_eq!(total, 5);
         assert_eq!(over, 2);
-        let (over, _) = w.stage_over_threshold(Stage::EndToEnd, 1, 1_000_000);
+        let (over, _) = w.stage_over_threshold(Layer::EndToEnd, 1, 1_000_000);
         assert_eq!(over, 0);
     }
 
@@ -531,34 +492,14 @@ mod tests {
     fn registry_reset_rebaselines_instead_of_underflowing() {
         let reg = MetricsRegistry::new();
         let mut w = ring();
-        reg.record_us(Stage::Validate, 100);
+        reg.record_us(Layer::Validate, 100);
         w.tick(&reg, &server(&[]));
         reg.reset();
         w.tick(&reg, &server(&[]));
-        reg.record_us(Stage::Validate, 200);
+        reg.record_us(Layer::Validate, 200);
         w.tick(&reg, &server(&[]));
         let s = w.windowed(1).stage("validate").unwrap().clone();
         assert_eq!(s.count, 1);
         assert_eq!(s.total_us, 200);
-    }
-
-    #[test]
-    fn windowed_json_is_integer_only_and_stable() {
-        let reg = MetricsRegistry::new();
-        let mut w = ring();
-        reg.record_us(Stage::EndToEnd, 12345);
-        w.tick(&reg, &server(&[(ServerMetric::QueriesOk, 1)]));
-        let json = w.windowed(1).to_json();
-        assert!(json.starts_with(r#"{"interval_ms":"#));
-        assert!(json.contains(r#""rates":["#));
-        let bytes = json.as_bytes();
-        for i in 1..bytes.len() - 1 {
-            assert!(
-                !(bytes[i] == b'.'
-                    && bytes[i - 1].is_ascii_digit()
-                    && bytes[i + 1].is_ascii_digit()),
-                "windowed JSON contains a float near {i}"
-            );
-        }
     }
 }

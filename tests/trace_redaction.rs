@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use ppgnn::prelude::*;
 use ppgnn::telemetry::trace::{
-    self, chrome_trace_json, slow_log_line, AttrKey, SegmentOrigin, SpanName, TracerConfig,
+    self, chrome_trace_json, slow_log_line, AttrKey, SegmentOrigin, TracerConfig,
 };
+use ppgnn::telemetry::Layer;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -145,10 +146,9 @@ fn exported_traces_carry_no_location_or_identifier_data() {
     // The sanitation path really ran (its spans are the likeliest place
     // for per-candidate data to sneak in).
     assert!(
-        segments.iter().any(|s| s
-            .spans
+        segments
             .iter()
-            .any(|sp| sp.name == SpanName::SanitationPrefix)),
+            .any(|s| s.spans.iter().any(|sp| sp.name == Layer::SanitationPrefix)),
         "sanitized query produced no sanitation-prefix spans"
     );
 
